@@ -1,37 +1,26 @@
 // Command solve runs one fault-tolerant iterative solve end to end:
 // it builds a 3D Poisson system, solves it with the chosen method and
-// checkpointing scheme, optionally injecting failures in virtual time,
-// and reports the outcome.
+// checkpointing scheme, optionally injecting failures, and reports the
+// outcome. README.md documents every flag.
 //
 // Usage:
 //
 //	solve -method cg -grid 16 -scheme lossy -eb 1e-4 -mtti 300
-//	solve -method jacobi -grid 12 -scheme traditional -ckptdir /tmp/ck
-//	solve -method cg -grid 16 -scheme lossy -mtti 300 -async
 //	solve -method cg -grid 16 -scheme lossy -mtti 300 -async -shards 8 -storage-workers 4
 //	solve -method jacobi -grid 12 -scheme lossy -mtti 300 -adaptive -prior-mtti 3600
+//	solve -method cg -grid 16 -recovery-tiers -inject 'proc@50,abft+proc@120'
 //
-// -adaptive replaces the fixed (or Young-probed) checkpoint interval
-// with the online controller: per-checkpoint costs and the failure
-// rate are estimated from the run itself (the controller is never told
-// C, R, or λ — only -prior-mtti seeds its failure-rate prior), and the
-// interval is re-planned from the Young/Daly fixed point after every
-// observation. The interval trajectory is printed at the end of the
-// run alongside a per-phase cost table (capture/encode/write/restart,
-// modeled at cluster scale vs measured in-process).
+// By default the simulator runs the solve on a virtual clock:
+// failures arrive with mean time -mtti, and every checkpoint and
+// recovery is priced by the Bebop cluster model at 2,048 ranks.
+// -interval is in simulated seconds (0 = Young-optimal from a probe
+// checkpoint); -adaptive re-plans it online from the run's measured
+// costs and failures, seeded only by -prior-mtti. -recovery-tiers arms
+// the recovery chain: checkpoint-free ABFT reconstruction, the latest
+// checkpoint, an older one, then restart-from-zero.
 //
-// -recovery-tiers arms the tiered recovery chain: an ABFT guard
-// retains per-iteration redundancy (exact-state for CG, periodic
-// retained solutions for the stationary methods) and every failure
-// tries checkpoint-free algorithmic reconstruction first, falling back
-// to the latest checkpoint, an older checkpoint, and finally
-// restart-from-zero. With -mtti the simulated run prices ABFT
-// recoveries in local-solve iterations (no PFS reads) and reports
-// per-tier counts and read traffic.
-//
-// -inject runs the REAL solve (no virtual clock) under a seeded
-// deterministic fault plan and prints a per-failure table of the tier
-// each recovery used. The spec grammar is
+// -inject runs the REAL solve on the wall clock under a seeded fault
+// plan and prints the tier each recovery used:
 //
 //	spec  := event ("," event)*
 //	event := kind ("+" kind)* "@" iterspec
@@ -39,61 +28,34 @@
 //	       | storagewrite | storageread | slowio | crash
 //	iterspec := N | N..M | N..M/S
 //
-// e.g. -inject 'proc@50,abft+proc@120,manifest+proc@200'. Corruption
-// kinds without proc/midckpt are latent and surface at the next
-// recovery. The storage kinds arm faults in the injector interposed
-// beneath the resilient retry layer: storagewrite/storageread fail one
-// storage attempt, slowio delays one (exercising hedged reads), and
-// crash kills the store mid-commit — a partial temp artifact is left
-// behind, the store revives, and fsck sweeps the debris before tiered
-// recovery runs. A range iterspec ("storagewrite@100..600") schedules
-// a whole campaign in one event. -inject requires -recovery-tiers and
-// excludes -mtti; in this mode -interval is a checkpoint cadence in
-// iterations (default 25).
-//
-// Observability: -metrics-out writes the end-of-run metrics snapshot
-// as JSON, -trace-out writes a Chrome trace_event file (load it at
-// chrome://tracing or https://ui.perfetto.dev), and -debug-addr
-// serves /metrics (Prometheus text), /trace, and /debug/pprof live
-// while the solve runs. The cost table and a metrics summary are
-// emitted on every exit path — success, error, and injected runs
-// alike. With -inject -async the trace shows the background
-// encode/write spans overlapping solver iterations on real clocks;
-// simulated runs emit the same span schema in virtual time.
-//
-// Storage resilience: every store is wrapped in the retry layer
-// (-storage-retries, default 4) that absorbs transient faults with
-// capped exponential backoff and hedges slow reads; -storage-timeout
-// bounds the cumulative backoff one op may accrue. -scrub-interval
-// starts the background scrubber, which CRC-verifies committed shards
-// and repairs corrupt ones from retained state. -storage-fault-rate
-// runs a seeded per-attempt transient-fault campaign against the
-// store — the run must complete with zero solver-visible errors, and
-// simulated runs price the expected retry delay into the checkpoint
-// cost (Outcome.StorageRetryTime). On-disk checkpoint directories are
-// fsck-swept at startup so partial commits from a crashed run never
-// surface as restorable checkpoints.
+// Corruption kinds without proc/midckpt are latent and surface at the
+// next recovery; the storage kinds arm faults beneath the retry layer.
+// -inject requires -recovery-tiers and excludes -mtti and -adaptive:
+// it checkpoints every -interval iterations (default 25), a cadence
+// the controller does not plan.
 //
 // -shards N splits every checkpoint into N shard objects plus a
-// manifest, written concurrently by up to -storage-workers goroutines
-// (0 = GOMAXPROCS). Passing -shards (any value, 1 included) also
-// switches the simulated write cost from the paper's collective model
-// (2,048 ranks writing concurrently at the full aggregate PFS
-// bandwidth) to the single-writer striped model: per-stripe bandwidth
-// × min(shards, stripes), saturating at the aggregate. Compare
-// -shards 1 against -shards 8 to see the storage stage scale with
-// stripes; the two models are different physical setups, so comparing
-// a -shards run against a run without the flag compares collective
-// writes against single-writer ones.
+// manifest, written by up to -storage-workers goroutines (0 =
+// GOMAXPROCS, never more than the shards; the run prints the pool size
+// it used). Passing -shards at all, 1 included, prices writes with the
+// single-writer striped-PFS model instead of the paper's collective
+// one, so compare -shards runs with each other.
+//
+// Every exit — success, setup error, -scheme none, simulated or
+// injected — prints the per-phase cost table (modeled vs measured) and
+// a metrics summary, and writes the requested -metrics-out, -trace-out
+// and -report-out artifacts. -debug-addr serves /metrics, /trace,
+// /report and /debug/pprof while the run is live.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof"
 	"os"
 	"strings"
 	"sync"
@@ -107,6 +69,7 @@ import (
 	"repro/internal/fti"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/precond"
 	"repro/internal/quality"
 	"repro/internal/sim"
@@ -115,151 +78,154 @@ import (
 	"repro/internal/sz"
 )
 
+// options holds one run's configuration: every flag, bound directly.
+type options struct {
+	method, scheme, ckptDir, inject string
+	grid, maxIter                   int
+	rtol, eb, interval, mtti, tit   float64
+	seed                            int64
+	async, adaptive, recoveryTiers  bool
+	priorMTTI                       float64
+
+	shards, storageWorkers, storageRetries int
+	storageTimeout, scrubInterval          time.Duration
+	storageFaultRate                       float64
+	// striped: -shards was given (1 included), so writes are priced
+	// with the single-writer striped model.
+	striped bool
+
+	debugAddr, metricsOut, traceOut, reportOut string
+	quality, qualityExhaustive                 bool
+	qualitySample                              int
+
+	command string // the arguments, recorded in the run report
+}
+
+// parseOptions binds the command line into options.
+func parseOptions(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.StringVar(&o.method, "method", "cg", "iterative method: jacobi | gs | sor | ssor | cg | gmres")
+	fs.IntVar(&o.grid, "grid", 14, "Poisson grid dimension (n³ unknowns)")
+	fs.Float64Var(&o.rtol, "rtol", 1e-7, "relative convergence tolerance")
+	fs.StringVar(&o.scheme, "scheme", "lossy", "checkpoint scheme: traditional | lossless | lossy | none")
+	fs.Float64Var(&o.eb, "eb", 1e-4, "lossy pointwise-relative error bound")
+	fs.Float64Var(&o.interval, "interval", 0, "checkpoint interval in simulated seconds (0 = Young-optimal)")
+	fs.Float64Var(&o.mtti, "mtti", 0, "mean time to interruption in simulated seconds (0 = no failures)")
+	fs.Float64Var(&o.tit, "tit", 1, "simulated seconds per iteration")
+	fs.Int64Var(&o.seed, "seed", 1, "failure-injection seed")
+	fs.StringVar(&o.ckptDir, "ckptdir", "", "write checkpoints to this directory (default: in-memory)")
+	fs.IntVar(&o.maxIter, "maxiter", 2_000_000, "iteration cap")
+	fs.BoolVar(&o.async, "async", false, "asynchronous checkpointing: charge only the capture stall; encode+write overlap iterations")
+	fs.IntVar(&o.shards, "shards", 1, "shard objects per checkpoint (>1 writes shards + a manifest; passing the flag at all prices writes with the single-writer striped-PFS model)")
+	fs.IntVar(&o.storageWorkers, "storage-workers", 0, "worker pool bound for shard writes/reads (0 = GOMAXPROCS)")
+	fs.IntVar(&o.storageRetries, "storage-retries", 4, "max retries per storage op for transient faults (0 disables the resilient wrapper)")
+	fs.DurationVar(&o.storageTimeout, "storage-timeout", 0, "per-op retry budget: an op gives up once its cumulative backoff would exceed this (0 = no budget)")
+	fs.DurationVar(&o.scrubInterval, "scrub-interval", 0, "background scrubber sweep cadence (0 = scrubbing off)")
+	fs.Float64Var(&o.storageFaultRate, "storage-fault-rate", 0, "seeded per-attempt transient storage-fault probability, injected beneath the retry layer (0 = none)")
+	fs.BoolVar(&o.adaptive, "adaptive", false, "adaptive checkpoint interval: estimate costs and failure rate online, re-plan the Young/Daly fixed point each epoch")
+	fs.Float64Var(&o.priorMTTI, "prior-mtti", 3600, "adaptive controller's prior mean time to interruption in seconds (its only a-priori knowledge)")
+	fs.BoolVar(&o.recoveryTiers, "recovery-tiers", false, "tiered recovery: ABFT reconstruction, then latest checkpoint, then older checkpoints, then restart-from-zero")
+	fs.StringVar(&o.inject, "inject", "", "seeded fault plan 'kind(+kind)*@iterspec,...' (kinds proc|abft|shard|manifest|midckpt|storagewrite|storageread|slowio|crash; iterspec N or N..M[/S]) driving the real solve; requires -recovery-tiers, excludes -mtti and -adaptive")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics, /trace, /report, and /debug/pprof on this address (e.g. localhost:6060) while the run is live")
+	fs.StringVar(&o.metricsOut, "metrics-out", "", "write the end-of-run metrics snapshot as JSON to this file")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write the end-of-run Chrome trace_event JSON to this file")
+	fs.BoolVar(&o.quality, "quality", false, "numerical telemetry: audit per-checkpoint distortion against the live state (sampled) and attribute post-recovery convergence delay")
+	fs.IntVar(&o.qualitySample, "quality-sample", 4, "audit every Nth committed checkpoint (1 = every checkpoint)")
+	fs.BoolVar(&o.qualityExhaustive, "quality-exhaustive", false, "audit every checkpoint and decode-verify every audited vector (implies -quality)")
+	fs.StringVar(&o.reportOut, "report-out", "", "write the versioned JSON run report (cost table, metrics, per-checkpoint quality, recovery attributions, stability verdict) to this file (implies -quality)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	fs.Visit(func(f *flag.Flag) { o.striped = o.striped || f.Name == "shards" })
+	o.quality = o.quality || o.qualityExhaustive || o.reportOut != ""
+	o.command = strings.Join(args, " ")
+	return o, nil
+}
+
 func main() {
-	method := flag.String("method", "cg", "iterative method: jacobi | gs | sor | ssor | cg | gmres")
-	grid := flag.Int("grid", 14, "Poisson grid dimension (n³ unknowns)")
-	rtol := flag.Float64("rtol", 1e-7, "relative convergence tolerance")
-	schemeName := flag.String("scheme", "lossy", "checkpoint scheme: traditional | lossless | lossy | none")
-	eb := flag.Float64("eb", 1e-4, "lossy pointwise-relative error bound")
-	interval := flag.Float64("interval", 0, "checkpoint interval in simulated seconds (0 = Young-optimal)")
-	mtti := flag.Float64("mtti", 0, "mean time to interruption in simulated seconds (0 = no failures)")
-	tit := flag.Float64("tit", 1, "simulated seconds per iteration")
-	seed := flag.Int64("seed", 1, "failure-injection seed")
-	ckptDir := flag.String("ckptdir", "", "write checkpoints to this directory (default: in-memory)")
-	maxIter := flag.Int("maxiter", 2_000_000, "iteration cap")
-	async := flag.Bool("async", false, "asynchronous checkpointing: charge only the capture stall; encode+write overlap iterations")
-	shards := flag.Int("shards", 1, "shard objects per checkpoint (>1 writes shards + a manifest; passing the flag at all prices writes with the single-writer striped-PFS model)")
-	storageWorkers := flag.Int("storage-workers", 0, "worker pool bound for shard writes/reads (0 = GOMAXPROCS)")
-	storageRetries := flag.Int("storage-retries", 4, "max retries per storage op for transient faults (0 disables the resilient wrapper)")
-	storageTimeout := flag.Duration("storage-timeout", 0, "per-op retry budget: an op gives up once its cumulative backoff would exceed this (0 = no budget)")
-	scrubInterval := flag.Duration("scrub-interval", 0, "background scrubber sweep cadence (0 = scrubbing off)")
-	storageFaultRate := flag.Float64("storage-fault-rate", 0, "seeded per-attempt transient storage-fault probability, injected beneath the retry layer (0 = none)")
-	adaptive := flag.Bool("adaptive", false, "adaptive checkpoint interval: estimate costs and failure rate online, re-plan the Young/Daly fixed point each epoch")
-	priorMTTI := flag.Float64("prior-mtti", 3600, "adaptive controller's prior mean time to interruption in seconds (its only a-priori knowledge)")
-	recoveryTiers := flag.Bool("recovery-tiers", false, "tiered recovery: ABFT reconstruction, then latest checkpoint, then older checkpoints, then restart-from-zero")
-	injectSpec := flag.String("inject", "", "seeded fault plan 'kind(+kind)*@iterspec,...' (kinds proc|abft|shard|manifest|midckpt|storagewrite|storageread|slowio|crash; iterspec N or N..M[/S]) driving the real solve; requires -recovery-tiers, excludes -mtti")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace, /report, and /debug/pprof on this address (e.g. localhost:6060) while the run is live")
-	metricsOut := flag.String("metrics-out", "", "write the end-of-run metrics snapshot as JSON to this file")
-	traceOut := flag.String("trace-out", "", "write the end-of-run Chrome trace_event JSON to this file")
-	qualityOn := flag.Bool("quality", false, "numerical telemetry: audit per-checkpoint distortion against the live state (sampled) and attribute post-recovery convergence delay")
-	qualitySample := flag.Int("quality-sample", 4, "audit every Nth committed checkpoint (1 = every checkpoint)")
-	qualityExhaustive := flag.Bool("quality-exhaustive", false, "audit every checkpoint and decode-verify every audited vector (implies -quality)")
-	reportOut := flag.String("report-out", "", "write the versioned JSON run report (cost table, metrics, per-checkpoint quality, recovery attributions, stability verdict) to this file (implies -quality)")
-	flag.Parse()
-	// The striped single-writer cost model engages when -shards is
-	// given explicitly — including -shards 1, so monolithic and sharded
-	// runs compare within one model instead of across two.
-	striped := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			striped = true
-		}
-	})
-
-	qual := qualityOpts{
-		enabled:    *qualityOn || *qualityExhaustive || *reportOut != "",
-		sample:     *qualitySample,
-		exhaustive: *qualityExhaustive,
+	o, err := parseOptions(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-
-	// One registry + tracer pair backs the live endpoint and the
-	// end-of-run artifacts; left nil (zero overhead) unless asked for.
-	var wiring obsWiring
-	wiring.metricsOut, wiring.traceOut, wiring.reportOut = *metricsOut, *traceOut, *reportOut
-	if *debugAddr != "" || *metricsOut != "" || *traceOut != "" || qual.enabled {
-		wiring.reg = obs.New()
-		wiring.tr = obs.NewTracer()
+	if err != nil {
+		os.Exit(2) // the flag set has printed the error and usage
 	}
-	if *debugAddr != "" {
-		serveDebug(*debugAddr, wiring.reg, wiring.tr)
-	}
-
-	sto := storageOpts{
-		retries:    *storageRetries,
-		timeout:    *storageTimeout,
-		scrubEvery: *scrubInterval,
-		faultRate:  *storageFaultRate,
-	}
-	if err := run(*method, *grid, *rtol, *schemeName, *eb, *interval, *mtti, *tit, *seed, *ckptDir, *maxIter, *async, *shards, *storageWorkers, striped, *adaptive, *priorMTTI, *recoveryTiers, *injectSpec, sto, qual, wiring); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "solve:", err)
 		os.Exit(1)
 	}
 }
 
-// qualityOpts carries the numerical-telemetry knobs from flag parsing
-// into the run.
-type qualityOpts struct {
-	enabled    bool
-	sample     int
-	exhaustive bool
-}
-
-// storageOpts carries the fault-tolerant storage layer's knobs from
-// flag parsing into the run.
-type storageOpts struct {
-	retries    int
-	timeout    time.Duration
-	scrubEvery time.Duration
-	faultRate  float64
-}
-
-func run(method string, grid int, rtol float64, schemeName string, eb, interval, mtti, tit float64, seed int64, ckptDir string, maxIter int, async bool, shards, storageWorkers int, striped, adaptive bool, priorMTTI float64, recoveryTiers bool, injectSpec string, sto storageOpts, qual qualityOpts, wiring obsWiring) (err error) {
-	// Setup failures exit before the full reporter is armed; -report-out
-	// still deserves an artifact recording the disposition, so a
-	// minimal report covers the gap until reportArmed flips.
-	reportArmed := false
+func run(o options) (err error) {
+	// One registry + tracer pair backs the live endpoint and the
+	// end-of-run artifacts; left nil (zero overhead) unless asked for.
+	rep := &reporter{o: o, start: time.Now()}
+	if o.debugAddr != "" || o.metricsOut != "" || o.traceOut != "" || o.quality {
+		rep.reg, rep.tr = obs.New(), obs.NewTracer()
+	}
+	rep.runInfo = quality.RunInfo{
+		Command:    o.command,
+		Solver:     o.method,
+		Unknowns:   o.grid * o.grid * o.grid,
+		Scheme:     o.scheme,
+		Async:      o.async,
+		Shards:     o.shards,
+		ErrorBound: o.eb,
+		Adaptive:   o.adaptive,
+		Injected:   o.inject,
+	}
+	if o.debugAddr != "" {
+		serveDebug(o.debugAddr, rep)
+	}
+	// Every exit — setup error, -scheme none, simulated or injected —
+	// reports through this one emit, the disposition recorded first.
 	defer func() {
-		if err == nil || reportArmed || wiring.reportOut == "" {
-			return
+		if err != nil {
+			rep.locked(func() { rep.runInfo.Exit = "error: " + err.Error() })
 		}
-		min := &quality.RunReport{
-			Run:             quality.RunInfo{Command: strings.Join(os.Args[1:], " "), Exit: "error: " + err.Error()},
-			GeneratedAtUnix: time.Now().Unix(),
-		}
-		(*quality.Auditor)(nil).Fill(min)
-		if f, ferr := os.Create(wiring.reportOut); ferr == nil {
-			if werr := min.WriteJSON(f); werr == nil {
-				fmt.Printf("run report written to %s\n", wiring.reportOut)
-			}
-			f.Close()
-		}
+		rep.emit()
 	}()
-	if adaptive && interval > 0 {
+
+	if o.adaptive && o.interval > 0 {
 		return fmt.Errorf("-adaptive and -interval are mutually exclusive (the controller owns the cadence)")
 	}
-	if injectSpec != "" && !recoveryTiers {
+	if o.inject != "" && !o.recoveryTiers {
 		return fmt.Errorf("-inject requires -recovery-tiers (the fault plan exercises the tier chain)")
 	}
-	if injectSpec != "" && mtti > 0 {
+	if o.inject != "" && o.mtti > 0 {
 		return fmt.Errorf("-inject and -mtti are mutually exclusive (seeded plan vs random virtual-time failures)")
 	}
-	if recoveryTiers && schemeName == "none" {
+	if o.inject != "" && o.adaptive {
+		return fmt.Errorf("-inject and -adaptive are mutually exclusive (the injected run checkpoints every -interval iterations, a cadence the controller does not plan)")
+	}
+	if o.recoveryTiers && o.scheme == "none" {
 		return fmt.Errorf("-recovery-tiers needs a checkpoint scheme (the chain's middle tiers read checkpoints)")
 	}
-	a := sparse.Poisson3D(grid)
+	a := sparse.Poisson3D(o.grid)
 	b := sparse.OnesRHS(a.Rows)
-	fmt.Printf("system: 3D Poisson %d³ = %d unknowns, %d nonzeros\n", grid, a.Rows, a.NNZ())
+	fmt.Printf("system: 3D Poisson %d³ = %d unknowns, %d nonzeros\n", o.grid, a.Rows, a.NNZ())
 
 	var s solver.Checkpointable
 	var co *abft.ChecksumOperator
-	opts := solver.Options{RTol: rtol}
-	switch method {
-	case "jacobi":
-		s, err = solver.NewStationary(solver.KindJacobi, a, b, nil, 0, opts)
-	case "gs":
-		s, err = solver.NewStationary(solver.KindGaussSeidel, a, b, nil, 0, opts)
-	case "sor":
-		s, err = solver.NewStationary(solver.KindSOR, a, b, nil, 1.5, opts)
-	case "ssor":
-		s, err = solver.NewStationary(solver.KindSSOR, a, b, nil, 1.2, opts)
-	case "cg":
+	opts := solver.Options{RTol: o.rtol}
+	// The stationary sweeps and their relaxation factors.
+	sweep, stationary := map[string]struct {
+		kind  solver.StationaryKind
+		omega float64
+	}{"jacobi": {solver.KindJacobi, 0}, "gs": {solver.KindGaussSeidel, 0},
+		"sor": {solver.KindSOR, 1.5}, "ssor": {solver.KindSSOR, 1.2}}[o.method]
+	switch {
+	case stationary:
+		s, err = solver.NewStationary(sweep.kind, a, b, nil, sweep.omega, opts)
+	case o.method == "cg":
 		var m *precond.IC0
 		m, err = precond.NewIC0(a)
 		if err != nil {
 			return err
 		}
 		op := solver.Operator(a)
-		if recoveryTiers {
+		if o.recoveryTiers {
 			// Huang–Abraham checksum augmentation: every operator
 			// application is verified against precomputed column sums, so
 			// silent corruption surfaces before it contaminates the
@@ -268,24 +234,21 @@ func run(method string, grid int, rtol float64, schemeName string, eb, interval,
 			op = co
 		}
 		s = solver.NewCG(op, m, b, nil, solver.SeqSpace{}, opts)
-	case "gmres":
+	case o.method == "gmres":
 		s = solver.NewGMRES(a, nil, b, nil, 30, solver.SeqSpace{}, opts)
 	default:
-		return fmt.Errorf("unknown method %q", method)
+		return fmt.Errorf("unknown method %q", o.method)
 	}
 	if err != nil {
 		return err
 	}
 	var guard *abft.Guard
-	if recoveryTiers {
-		gcfg := abft.Config{Seed: seed}
-		switch method {
-		case "cg":
+	if o.recoveryTiers {
+		gcfg := abft.Config{Seed: o.seed, Method: abft.BackwardForward}
+		if o.method == "cg" {
 			gcfg.Method = abft.ExactState
-		case "jacobi", "gs", "sor", "ssor":
-			gcfg.Method = abft.BackwardForward
-		default:
-			return fmt.Errorf("-recovery-tiers is not supported for method %q (need cg or a stationary method)", method)
+		} else if !stationary {
+			return fmt.Errorf("-recovery-tiers is not supported for method %q (need cg or a stationary method)", o.method)
 		}
 		guard, err = abft.NewGuard(a, b, s, gcfg)
 		if err != nil {
@@ -294,158 +257,87 @@ func run(method string, grid int, rtol float64, schemeName string, eb, interval,
 		fmt.Printf("recovery tiers armed: %s ABFT guard, %d logical ranks\n", guard.Method(), guard.Ranks())
 	}
 
-	var scheme core.Scheme
-	switch schemeName {
-	case "traditional":
-		scheme = core.Traditional
-	case "lossless":
-		scheme = core.Lossless
-	case "lossy":
-		scheme = core.Lossy
-	case "none":
-		res, err := solver.RunToConvergence(s, solver.Options{MaxIter: maxIter}, nil)
+	if o.scheme == "none" {
+		res, err := solver.RunToConvergence(s, solver.Options{MaxIter: o.maxIter}, nil)
 		if err != nil {
 			return err
 		}
+		rep.finish(res.Iterations, res.Converged, res.FinalResidual)
 		fmt.Printf("converged=%v iterations=%d residual=%.3e\n",
 			res.Converged, res.Iterations, res.FinalResidual)
 		return nil
-	default:
-		return fmt.Errorf("unknown scheme %q", schemeName)
+	}
+	scheme, ok := map[string]core.Scheme{"traditional": core.Traditional, "lossless": core.Lossless, "lossy": core.Lossy}[o.scheme]
+	if !ok {
+		return fmt.Errorf("unknown scheme %q", o.scheme)
 	}
 
 	var plan *failure.Plan
-	if injectSpec != "" {
-		plan, err = failure.ParsePlan(injectSpec, seed)
+	if o.inject != "" {
+		plan, err = failure.ParsePlan(o.inject, o.seed)
 		if err != nil {
 			return err
 		}
 	}
-
-	// The storage stack, bottom up: the real store, the fault injector
-	// (only when a campaign or plan needs one), and the resilient retry
-	// wrapper on top — so injected transient faults are absorbed by
-	// retries before the checkpoint layer ever sees them.
-	var baseStorage fti.Storage = fti.NewMemStorage()
-	if ckptDir != "" {
-		ds, err := fti.NewDirStorage(ckptDir)
-		if err != nil {
-			return err
-		}
-		baseStorage = ds
-		// Crash-consistency sweep: a previous run may have died
-		// mid-commit, leaving temp files, orphan shards, or manifest-less
-		// groups. Fsck GCs them so List only exposes fully committed
-		// checkpoints.
-		frep, err := fti.Fsck(baseStorage)
-		if err != nil {
-			return fmt.Errorf("fsck %s: %w", ckptDir, err)
-		}
-		if !frep.Clean() {
-			fmt.Println(frep)
-		}
+	st, err := buildStorage(o, plan, rep.reg, rep.tr)
+	if err != nil {
+		return err
 	}
-	storage := baseStorage
-	injectStorage := sto.faultRate > 0 || planArmsStorage(plan)
-	var injector *failure.StorageInjector
-	if injectStorage {
-		injector = failure.NewStorageInjector(storage, seed, failure.StorageProfile{Rate: sto.faultRate})
-		storage = injector
-	}
-	var resilient *fti.Resilient
-	if sto.retries > 0 {
-		pol := fti.FaultPolicy{MaxRetries: sto.retries, OpBudget: sto.timeout, Seed: seed}
-		resilient = fti.NewResilient(storage, pol)
-		if wiring.reg != nil {
-			resilient.Instrument(wiring.reg)
-		}
-		storage = resilient
-	}
+	rep.storage = st
 	mgr, err := core.NewManager(core.Config{
 		Scheme:         scheme,
-		SZParams:       sz.Params{Mode: sz.PWRel, ErrorBound: eb},
-		Shards:         shards,
-		StorageWorkers: storageWorkers,
+		SZParams:       sz.Params{Mode: sz.PWRel, ErrorBound: o.eb},
+		Shards:         o.shards,
+		StorageWorkers: o.storageWorkers,
 		ABFT:           guard,
 		// Under an injected-fault campaign a save that exhausts its
 		// retries degrades — the group fails, the counter bumps, and the
 		// solver keeps iterating toward the next interval — instead of
 		// killing the run.
-		DegradedWrites: injectStorage,
+		DegradedWrites: st.injector != nil,
 		// The simulator needs a synchronous Manager (it prices the async
 		// overlap itself); the real injected run uses the actual async
 		// pipeline so its overlap shows up on the trace's wall clocks.
-		Async: async && injectSpec != "",
-	}, storage, s)
+		Async: o.async && o.inject != "",
+	}, st.top, s)
 	if err != nil {
 		return err
 	}
-	var scrubber *fti.Scrubber
-	if sto.scrubEvery > 0 {
-		scrubber = fti.NewScrubber(storage)
-		if wiring.armed() {
-			scrubber.Instrument(wiring.reg, wiring.tr)
-		}
-		mgr.Checkpointer().AttachScrubber(scrubber)
-		if err := scrubber.Start(sto.scrubEvery); err != nil {
+	rep.mgr = mgr
+	if st.scrubber != nil {
+		mgr.Checkpointer().AttachScrubber(st.scrubber)
+		if err := st.scrubber.Start(o.scrubInterval); err != nil {
 			return err
 		}
-		defer scrubber.Stop()
+		// Stops before the deferred emit, so the storage accounting
+		// counts the final sweep.
+		defer st.scrubber.Stop()
 	}
-	// Storage-resilience accounting prints on every exit path, after the
-	// scrubber has stopped (LIFO) so its final sweep is counted.
-	defer func() {
-		if scrubber != nil {
-			ss := scrubber.Stats()
-			fmt.Printf("scrubber: sweeps=%d verified=%d corruptions=%d repairs=%d dropped=%d\n",
-				ss.Sweeps, ss.Verified, ss.Corruptions, ss.Repairs, ss.Dropped)
-		}
-		if resilient != nil {
-			rs := resilient.Stats()
-			if rs.Retries > 0 || rs.Exhausted > 0 || rs.Permanent > 0 || rs.HedgedReads > 0 {
-				fmt.Printf("storage resilience: ops=%d retries=%d recovered=%d exhausted=%d permanent=%d hedged-reads=%d hedge-wins=%d backoff=%.1fms\n",
-					rs.Ops, rs.Retries, rs.Recovered, rs.Exhausted, rs.Permanent, rs.HedgedReads, rs.HedgeWins, 1e3*rs.RetryDelay.Seconds())
-			}
-		}
-		if injector != nil {
-			is := injector.Stats()
-			fmt.Printf("storage injection: write-faults=%d read-faults=%d transient=%d permanent=%d slow=%d\n",
-				is.WriteFaults, is.ReadFaults, is.TransientFaults, is.PermanentFaults, is.SlowOps)
-		}
-		if n := mgr.DegradedSaves(); n > 0 {
-			fmt.Printf("degraded saves: %d checkpoint(s) failed and were skipped (last: %v)\n", n, mgr.LastSaveError())
-		}
-	}()
-	if wiring.armed() {
-		if injectSpec != "" {
-			// Real run: the pipeline emits wall-clock spans itself.
-			mgr.Instrument(wiring.reg, wiring.tr)
-		} else {
-			// Virtual-time run: the simulator owns the trace (same span
-			// schema, virtual clock); the Manager still exports metrics.
-			mgr.Instrument(wiring.reg, nil)
-		}
+	// A real (injected) run's pipeline emits wall-clock spans itself;
+	// in virtual time the simulator owns the trace (same span schema)
+	// and the Manager only exports metrics.
+	mtr := rep.tr
+	if o.inject == "" {
+		mtr = nil
 	}
+	mgr.Instrument(rep.reg, mtr)
 	// Numerical telemetry: the auditor is a pure observer (sampled
 	// decode-on-the-fly distortion audits, recovery-delay attribution),
 	// so arming it never perturbs the solve trajectory.
 	var qa *quality.Auditor
-	if qual.enabled {
+	if o.quality {
 		qa = quality.New(quality.Config{
-			SampleEvery: qual.sample,
-			Exhaustive:  qual.exhaustive,
-			BNorm:       vecNorm(b),
+			SampleEvery: o.qualitySample,
+			Exhaustive:  o.qualityExhaustive,
+			BNorm:       math.Sqrt(float64(a.Rows)), // ‖b‖ of the all-ones right-hand side
 			StabilityC:  1,
 		})
-		qa.Instrument(wiring.reg, wiring.tr)
+		qa.Instrument(rep.reg, rep.tr)
 		mgr.InstrumentQuality(qa)
-		every := qual.sample
-		if qual.exhaustive || every < 1 {
-			every = 1
-		}
-		mode := "encode-path stats"
-		if qual.exhaustive {
-			mode = "exhaustive decode verification"
+		rep.locked(func() { rep.qa = qa })
+		every, mode := max(o.qualitySample, 1), "encode-path stats"
+		if o.qualityExhaustive {
+			every, mode = 1, "exhaustive decode verification"
 		}
 		fmt.Printf("quality telemetry: auditing every %d committed checkpoint(s), %s\n", every, mode)
 	}
@@ -453,194 +345,102 @@ func run(method string, grid int, rtol float64, schemeName string, eb, interval,
 		return err
 	}
 
-	// Cost the checkpoints with the Bebop model at 2,048 processes so
-	// the Young-optimal interval is meaningful.
-	mdl := cluster.Bebop()
-	raw := float64(a.Rows) * 8
-	ckptSec := func(info fti.Info) float64 {
-		sch := cluster.Uncompressed
-		switch scheme {
-		case core.Lossless:
-			sch = cluster.LosslessCompressed
-		case core.Lossy:
-			sch = cluster.LossyCompressed
-		}
-		if striped {
-			// Single-writer object writes under the striped-PFS model,
-			// engaging min(shards, stripes) stripes — used for every
-			// value of -shards (1 included) so monolithic and sharded
-			// runs compare within the same model.
-			n := info.Shards
-			if n < 1 {
-				n = shards
-			}
-			return mdl.ShardedCheckpointSeconds(2048, float64(info.Bytes), raw, sch, n)
-		}
-		return mdl.CheckpointSeconds(2048, float64(info.Bytes), raw, sch)
-	}
-	recSec := func(info fti.Info) float64 {
-		sch := cluster.Uncompressed
-		switch scheme {
-		case core.Lossless:
-			sch = cluster.LosslessCompressed
-		case core.Lossy:
-			sch = cluster.LossyCompressed
-		}
-		if striped {
-			// Restarts priced like the write path: a sharded group
-			// streams through min(shards, stripes) concurrent reads
-			// overlapped with decompression; shards=1 is the serial
-			// monolithic restore (exactly RecoverySeconds).
-			n := info.Shards
-			if n < 1 {
-				n = shards
-			}
-			return mdl.ShardedRecoverySeconds(2048, float64(info.Bytes), raw, sch, n)
-		}
-		return mdl.RecoverySeconds(2048, float64(info.Bytes), raw, sch)
-	}
-	capSec := func(info fti.Info) float64 {
-		return mdl.CaptureSeconds(2048, float64(info.RawBytes))
-	}
-	// Under a fault campaign, simulated checkpoint writes carry the
-	// retry layer's expected backoff delay, calibrated from the same
-	// policy defaults the real wrapper runs with.
-	pol := fti.FaultPolicy{MaxRetries: sto.retries}.Normalize()
-	retrySec := func(info fti.Info) float64 {
-		if sto.faultRate <= 0 || sto.retries <= 0 {
-			return 0
-		}
-		n := info.Shards
-		if n < 1 {
-			n = shards
-		}
-		return mdl.StorageRetrySeconds(n, sto.faultRate,
-			pol.BaseDelay.Seconds(), pol.MaxDelay.Seconds(), pol.MaxRetries)
-	}
-	// The reporter is deferred so the cost table, metrics summary, and
-	// observability artifacts come out on EVERY exit path — converged,
-	// errored, or injected — not just the happy one.
-	rep := &reporter{mgr: mgr, mdl: mdl, scheme: scheme, raw: raw, striped: striped,
-		recSec: recSec, measuredRestart: math.NaN(), wiring: wiring, qa: qa, start: time.Now()}
-	rep.runInfo = quality.RunInfo{
-		Command:    strings.Join(os.Args[1:], " "),
-		Solver:     method,
-		Unknowns:   a.Rows,
-		Scheme:     schemeName,
-		Async:      async,
-		Shards:     shards,
-		ErrorBound: eb,
-		Adaptive:   adaptive,
-		Injected:   injectSpec,
-	}
-	reportArmed = true
-	defer rep.emit()
-	// Capture the exit disposition before emit (deferred later → runs
-	// first): error exits still produce one coherent report artifact.
-	defer func() {
-		if err != nil {
-			rep.update(func(ri *quality.RunInfo) { ri.Exit = "error: " + err.Error() })
-		}
-	}()
-	setReportSource(rep.snapshotReport)
-	if injectSpec != "" {
-		ckptEvery := int(interval)
+	p := &prices{o: o, mdl: cluster.Bebop(), scheme: scheme, raw: float64(a.Rows) * 8}
+	rep.prices = p
+	x0 := make([]float64, a.Rows)
+	if o.inject != "" {
+		ckptEvery := int(o.interval)
 		if ckptEvery <= 0 {
 			ckptEvery = 25
 		}
-		rep.update(func(ri *quality.RunInfo) { ri.Interval = ckptEvery })
-		// Corruption helpers damage objects on the BASE store, bypassing
-		// the injector (their writes must not consume armed faults) and
-		// the retry layer (a corruption is not an op to retry).
-		return runInjected(a, s, mgr, guard, co, plan, baseStorage, injector, mdl, recSec, tit, ckptEvery, maxIter, wiring.tr, rep)
+		rep.locked(func() { rep.runInfo.Interval = ckptEvery })
+		return runInjected(o, ckptEvery, s, x0, mgr, guard, co, plan, st, p, rep)
 	}
+	return runSimulated(o, s, x0, mgr, p, qa, rep)
+}
+
+// runSimulated drives the solve on the simulator's virtual clock, with
+// failures drawn from -mtti and every checkpoint and recovery priced
+// by the cluster model.
+func runSimulated(o options, s solver.Checkpointable, x0 []float64, mgr *core.Manager, p *prices, qa *quality.Auditor, rep *reporter) error {
+	interval := o.interval
 	var ctrl *adapt.Controller
-	if adaptive {
+	if o.adaptive {
 		// The controller learns C, R, and λ from the run itself; the
 		// prior MTTI is its only seed. It plans the async fixed point
 		// (AsyncEffectiveStall) when the pipeline is overlapped.
 		var err error
-		ctrl, err = adapt.New(adapt.Config{PriorMTTI: priorMTTI, Async: async})
+		ctrl, err = adapt.New(adapt.Config{PriorMTTI: o.priorMTTI, Async: o.async})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("adaptive interval: prior MTTI %.0f s, bootstrap interval %.0f s\n",
-			priorMTTI, ctrl.Interval(0))
+			o.priorMTTI, ctrl.Interval(0))
 	} else if interval == 0 {
 		probe, err := mgr.Checkpoint()
 		if err != nil {
 			return err
 		}
 		// Young's interval balances the failure rate against the cost
-		// the solver actually pays per checkpoint: the full write in
-		// sync mode, the capture stall alone in async mode. The async
-		// interval is floored at the background encode+write time —
-		// checkpointing faster than the pipeline drains only converts
-		// the hidden cost back into backpressure stall.
-		perCkpt := ckptSec(probe)
-		if async {
-			perCkpt = capSec(probe)
+		// the solver pays per checkpoint: the full write in sync mode,
+		// the capture stall in async mode — floored at the background
+		// encode+write time, since checkpointing faster than the
+		// pipeline drains only turns hidden cost into backpressure.
+		perCkpt := p.checkpoint(probe)
+		if o.async {
+			perCkpt = p.capture(probe)
 		}
-		interval = model.YoungInterval(mtti, perCkpt)
-		if async && interval < ckptSec(probe) {
-			interval = ckptSec(probe)
+		interval = model.YoungInterval(o.mtti, perCkpt)
+		if o.async && interval < p.checkpoint(probe) {
+			interval = p.checkpoint(probe)
 		}
 		if interval == 0 {
-			interval = 100 * tit
+			interval = 100 * o.tit
 		}
 		fmt.Printf("Young-optimal interval: %.0f simulated seconds\n", interval)
 	}
 
-	// The ABFT tier is priced in local-solve iterations over the lost
-	// block, re-gathered over the interconnect — never through the PFS.
-	abftSec := func(att core.TierAttempt) float64 {
-		return mdl.ABFTRecoverySeconds(raw/2048, att.Iterations, tit)
-	}
 	out, err := sim.Run(sim.Config{
 		Stepper:             s,
 		Manager:             mgr,
-		X0:                  make([]float64, a.Rows),
-		TitSeconds:          tit,
+		X0:                  x0,
+		TitSeconds:          o.tit,
 		IntervalSeconds:     interval,
 		Controller:          ctrl,
-		CheckpointSeconds:   ckptSec,
-		RecoverySeconds:     recSec,
-		StorageRetrySeconds: retrySec,
-		AsyncCheckpoint:     async,
-		CaptureSeconds:      capSec,
-		ABFTSeconds:         abftSec,
-		Failures:            failure.NewInjector(mtti, seed),
-		MaxIterations:       maxIter,
-		Metrics:             wiring.reg,
-		Tracer:              wiring.tr,
+		CheckpointSeconds:   p.checkpoint,
+		RecoverySeconds:     p.restart,
+		StorageRetrySeconds: p.retry,
+		AsyncCheckpoint:     o.async,
+		CaptureSeconds:      p.capture,
+		ABFTSeconds:         p.abft,
+		Failures:            failure.NewInjector(o.mtti, o.seed),
+		MaxIterations:       o.maxIter,
+		Metrics:             rep.reg,
+		Tracer:              rep.tr,
 		Quality:             qa,
 	})
 	if err != nil {
 		return err
 	}
-	rep.update(func(ri *quality.RunInfo) {
-		ri.Interval = int(interval)
-		ri.Iterations = out.IterationsExecuted
-		ri.Converged = out.Converged
-		ri.FinalResidual = out.FinalResidual
-	})
+	rep.locked(func() { rep.runInfo.Interval = int(interval) })
+	rep.finish(out.IterationsExecuted, out.Converged, out.FinalResidual)
 	fmt.Printf("converged=%v iterations=%d sim-time=%.0fs failures=%d checkpoints=%d\n",
 		out.Converged, out.IterationsExecuted, out.SimSeconds, out.Failures, out.Checkpoints)
 	fmt.Printf("checkpoint-time=%.1fs recovery-time=%.0fs final-residual=%.3e\n",
 		out.CheckpointTime, out.RecoveryTime, out.FinalResidual)
-	if recoveryTiers {
+	if o.recoveryTiers {
 		fmt.Printf("recovery tiers: abft=%d checkpoint-restart=%d restart-zero=%d pfs-read-bytes=%d\n",
 			out.ABFTRecoveries, out.CheckpointRestarts, out.FreshRestarts, out.RecoveryReadBytes)
 	}
-	if async {
+	if o.async {
 		fmt.Printf("async: aborted-in-flight=%d backpressure=%.1fs (stall is capture-only when 0)\n",
 			out.AbortedCheckpoints, out.BackpressureTime)
 	}
-	if sto.faultRate > 0 {
+	if o.storageFaultRate > 0 {
 		fmt.Printf("storage faults: rate=%.3g priced retry delay %.2fs across %d checkpoints\n",
-			sto.faultRate, out.StorageRetryTime, out.Checkpoints)
+			o.storageFaultRate, out.StorageRetryTime, out.Checkpoints)
 	}
-	if adaptive && len(out.IntervalPlans) > 0 {
+	if o.adaptive && len(out.IntervalPlans) > 0 {
 		plans := out.IntervalPlans
 		last := plans[len(plans)-1]
 		fmt.Printf("adaptive: %d re-plans; final interval %.0f s (estimated MTTI %.0f s, per-checkpoint cost %.2f s)\n",
@@ -659,14 +459,18 @@ func run(method string, grid int, rtol float64, schemeName string, eb, interval,
 		fmt.Printf("last checkpoint: %d bytes (ratio %.1fx, encoder %s)\n",
 			info.Bytes, info.CompressionRatio, info.EncoderName)
 		if info.Shards > 1 {
+			workers := o.storageWorkers
+			if workers <= 0 {
+				workers = parallel.Workers()
+			}
 			fmt.Printf("sharded: %d shard objects + manifest, %d storage workers, striped write bandwidth %.2f GB/s\n",
-				info.Shards, storageWorkers, mdl.StripedWriteBandwidth(info.Shards)/1e9)
+				info.Shards, min(workers, info.Shards), p.mdl.StripedWriteBandwidth(info.Shards)/1e9)
 		}
 	}
 	// On failure-injected runs, measure one real restart so the
 	// in-process R (streaming shard-parallel restore) can be compared
 	// against the modeled ShardedRecoverySeconds at cluster scale.
-	if mtti > 0 && mgr.HasCheckpoint() {
+	if o.mtti > 0 && mgr.HasCheckpoint() {
 		info := mgr.LastInfo()
 		// Detach the auditor first: the measurement is not a failure, so
 		// it must not add a recovery-attribution entry to the report.
@@ -678,74 +482,212 @@ func run(method string, grid int, rtol float64, schemeName string, eb, interval,
 		}
 		wall := time.Since(start).Seconds()
 		rep.measuredRestart = wall
-		bps := 0.0
-		if wall > 0 {
-			bps = float64(info.Bytes) / wall
-		}
 		fmt.Printf("restart: measured %.2f ms wall for %d encoded bytes (%.1f MB/s, rolled back to iteration %d)\n",
-			1e3*wall, info.Bytes, bps/1e6, it)
+			1e3*wall, info.Bytes, float64(info.Bytes)/wall/1e6, it)
 		fmt.Printf("restart: modeled R=%.2fs at 2048 ranks (%d shard objects)\n",
-			recSec(info), max(info.Shards, 1))
+			p.restart(info), max(info.Shards, 1))
 	}
-	return nil // the deferred reporter prints the cost table and metrics
+	return nil
 }
 
-// obsWiring carries the optional observability plumbing from flag
-// parsing into the run: both pointers nil means every hook in every
-// instrumented layer is a no-op.
-type obsWiring struct {
-	reg        *obs.Registry
-	tr         *obs.Tracer
-	metricsOut string
-	traceOut   string
-	reportOut  string
+// storageChain is the checkpoint store, bottom up: the directory
+// store (fsck-swept at startup) or memory, the fault injector when a
+// campaign or plan needs one, the retry wrapper that absorbs injected
+// transient faults, and the scrubber over the top.
+type storageChain struct {
+	// base is beneath the injector and retries: corruptions land there
+	// (they must neither consume armed faults nor be retried), and the
+	// post-crash fsck sweeps the debris where the crash left it.
+	base      fti.Storage
+	top       fti.Storage // what the Manager writes through
+	injector  *failure.StorageInjector
+	resilient *fti.Resilient
+	scrubber  *fti.Scrubber // built, not started
 }
 
-func (w obsWiring) armed() bool { return w.reg != nil || w.tr != nil }
-
-// reportSource is the live run-report builder that /report serves.
-// run() installs it once the reporter exists — the debug listener
-// starts earlier, during flag handling.
-var reportSource struct {
-	mu sync.Mutex
-	fn func() *quality.RunReport
+func buildStorage(o options, plan *failure.Plan, reg *obs.Registry, tr *obs.Tracer) (*storageChain, error) {
+	c := &storageChain{base: fti.NewMemStorage()}
+	if o.ckptDir != "" {
+		ds, err := fti.NewDirStorage(o.ckptDir)
+		if err != nil {
+			return nil, err
+		}
+		// Crash-consistency sweep: a previous run may have died
+		// mid-commit, leaving temp files, orphan shards, or manifest-less
+		// groups. Fsck GCs them so List only exposes fully committed
+		// checkpoints.
+		frep, err := fti.Fsck(ds)
+		if err != nil {
+			return nil, fmt.Errorf("fsck %s: %w", o.ckptDir, err)
+		}
+		if !frep.Clean() {
+			fmt.Println(frep)
+		}
+		c.base = ds
+	}
+	c.top = c.base
+	if o.storageFaultRate > 0 || plan.ArmsStorage() {
+		c.injector = failure.NewStorageInjector(c.top, o.seed, failure.StorageProfile{Rate: o.storageFaultRate})
+		c.top = c.injector
+	}
+	if o.storageRetries > 0 {
+		c.resilient = fti.NewResilient(c.top, fti.FaultPolicy{MaxRetries: o.storageRetries, OpBudget: o.storageTimeout, Seed: o.seed})
+		c.resilient.Instrument(reg)
+		c.top = c.resilient
+	}
+	if o.scrubInterval > 0 {
+		c.scrubber = fti.NewScrubber(c.top)
+		c.scrubber.Instrument(reg, tr)
+	}
+	return c, nil
 }
 
-func setReportSource(fn func() *quality.RunReport) {
-	reportSource.mu.Lock()
-	reportSource.fn = fn
-	reportSource.mu.Unlock()
+// printStats reports what each armed layer of the chain absorbed.
+func (c *storageChain) printStats() {
+	if c.scrubber != nil {
+		ss := c.scrubber.Stats()
+		fmt.Printf("scrubber: sweeps=%d verified=%d corruptions=%d repairs=%d dropped=%d\n",
+			ss.Sweeps, ss.Verified, ss.Corruptions, ss.Repairs, ss.Dropped)
+	}
+	if c.resilient != nil {
+		rs := c.resilient.Stats()
+		if rs.Retries > 0 || rs.Exhausted > 0 || rs.Permanent > 0 || rs.HedgedReads > 0 {
+			fmt.Printf("storage resilience: ops=%d retries=%d recovered=%d exhausted=%d permanent=%d hedged-reads=%d hedge-wins=%d backoff=%.1fms\n",
+				rs.Ops, rs.Retries, rs.Recovered, rs.Exhausted, rs.Permanent, rs.HedgedReads, rs.HedgeWins, 1e3*rs.RetryDelay.Seconds())
+		}
+	}
+	if c.injector != nil {
+		is := c.injector.Stats()
+		fmt.Printf("storage injection: write-faults=%d read-faults=%d transient=%d permanent=%d slow=%d\n",
+			is.WriteFaults, is.ReadFaults, is.TransientFaults, is.PermanentFaults, is.SlowOps)
+	}
 }
 
-// serveDebug exposes the live registry and tracer (plus pprof) on a
-// background HTTP listener. Snapshots are taken per request, so
-// hitting /metrics mid-run observes the solve without pausing it.
-func serveDebug(addr string, reg *obs.Registry, tr *obs.Tracer) {
+// prices costs checkpoints, restarts and ABFT recoveries with the
+// Bebop model at 2,048 processes — so the Young-optimal interval is
+// meaningful — for one run's scheme and storage layout.
+type prices struct {
+	o      options
+	mdl    *cluster.Model
+	scheme core.Scheme
+	raw    float64 // bytes of one solver vector
+}
+
+// shardsOf is the shard count a checkpoint was written with; a save
+// that committed nothing has the configured layout.
+func (p *prices) shardsOf(info fti.Info) int {
+	if info.Shards < 1 {
+		return p.o.shards
+	}
+	return info.Shards
+}
+
+// checkpoint prices one write; under -shards (1 included) with the
+// single-writer striped model, engaging min(shards, stripes) stripes.
+func (p *prices) checkpoint(info fti.Info) float64 {
+	if p.o.striped {
+		return p.mdl.ShardedCheckpointSeconds(2048, float64(info.Bytes), p.raw, p.scheme, p.shardsOf(info))
+	}
+	return p.mdl.CheckpointSeconds(2048, float64(info.Bytes), p.raw, p.scheme)
+}
+
+// restart prices one restore like the write path: a sharded group
+// streams through min(shards, stripes) concurrent reads overlapped
+// with decompression; one shard is the serial monolithic restore.
+func (p *prices) restart(info fti.Info) float64 {
+	if p.o.striped {
+		return p.mdl.ShardedRecoverySeconds(2048, float64(info.Bytes), p.raw, p.scheme, p.shardsOf(info))
+	}
+	return p.mdl.RecoverySeconds(2048, float64(info.Bytes), p.raw, p.scheme)
+}
+
+// capture prices the solver-visible stall of one async checkpoint.
+func (p *prices) capture(info fti.Info) float64 {
+	return p.mdl.CaptureSeconds(2048, float64(info.RawBytes))
+}
+
+// retry prices the retry layer's expected backoff delay per write
+// under a -storage-fault-rate campaign, calibrated from the same
+// policy defaults the real wrapper runs with.
+func (p *prices) retry(info fti.Info) float64 {
+	if p.o.storageFaultRate <= 0 || p.o.storageRetries <= 0 {
+		return 0
+	}
+	pol := fti.FaultPolicy{MaxRetries: p.o.storageRetries}.Normalize()
+	return p.mdl.StorageRetrySeconds(p.shardsOf(info), p.o.storageFaultRate,
+		pol.BaseDelay.Seconds(), pol.MaxDelay.Seconds(), pol.MaxRetries)
+}
+
+// abft prices one ABFT tier attempt in local-solve iterations over the
+// lost block, re-gathered over the interconnect — never through the
+// PFS.
+func (p *prices) abft(att core.TierAttempt) float64 {
+	return p.mdl.ABFTRecoverySeconds(p.raw/2048, att.Iterations, p.o.tit)
+}
+
+// costTable renders the per-phase checkpoint/restart cost table: the
+// cluster model's 2,048-rank prediction next to what the in-process
+// run actually measured (fti.Info stage timings and the measured
+// restart; 0 = not measured). The two columns are different machines
+// by design — the point is seeing each phase's model beside a real
+// measurement of the same code path. The same rows are the run
+// report's cost lines.
+func (p *prices) costTable(info fti.Info, measuredRestart float64) []quality.CostLine {
+	if info.Bytes == 0 {
+		return nil // no checkpoint was ever committed; nothing to break down
+	}
+	// The stage helpers share the fused cost model's terms, so the
+	// per-phase rows always sum to the checkpoint price the run used:
+	// the codec-aware encode rate is pinned to the scheme-level
+	// calibration for the schemes' default codecs (sz, gzip) and falls
+	// back to it for codecs without a CodecRates entry.
+	rows := []quality.CostLine{
+		{Phase: "capture", ModeledSeconds: p.mdl.CaptureSeconds(2048, p.raw), MeasuredSeconds: info.CaptureSeconds},
+		{Phase: "encode", ModeledSeconds: p.mdl.CodecCompressSeconds(2048, p.raw, info.EncoderName, p.scheme), MeasuredSeconds: info.EncodeSeconds},
+		{Phase: "write", ModeledSeconds: p.mdl.WriteStageSeconds(2048, float64(info.Bytes), max(info.Shards, 1), p.o.striped), MeasuredSeconds: info.WriteSeconds},
+		{Phase: "restart", ModeledSeconds: p.restart(info), MeasuredSeconds: measuredRestart},
+	}
+	notes := []string{"   (in-process sync capture happens inside the save)", "", "", "   (measured only on failure runs)"}
+	fmt.Printf("per-checkpoint phase costs — modeled at 2048 ranks vs measured in-process (ms):\n")
+	fmt.Printf("  %-8s %12s %12s\n", "phase", "modeled", "measured")
+	for i, r := range rows {
+		measured := "      -"
+		if r.MeasuredSeconds != 0 {
+			measured = fmt.Sprintf("%10.4g", 1e3*r.MeasuredSeconds)
+		}
+		fmt.Printf("  %-8s %12s %12s%s\n", r.Phase, fmt.Sprintf("%10.4g", 1e3*r.ModeledSeconds), measured, notes[i])
+		if r.Phase == "encode" && p.scheme != core.Traditional && info.EncodeSeconds > 0 {
+			// Measured per-codec encode throughput beside the model's
+			// per-core rate: the in-process figure is this machine's
+			// cores, the modeled one is one Bebop core.
+			fmt.Printf("  %-8s %12.4g %12.4g   (encode MB/s, codec %s; modeled is per Bebop core)\n", "enc-MB/s",
+				p.raw/p.mdl.CodecCompressSeconds(1, p.raw, info.EncoderName, p.scheme)/1e6, p.raw/info.EncodeSeconds/1e6, info.EncoderName)
+		}
+	}
+	return rows
+}
+
+// serveDebug exposes the live registry, tracer, and run report (plus
+// pprof) on a background HTTP listener. Snapshots are taken per
+// request, so hitting /metrics mid-run observes the solve without
+// pausing it.
+func serveDebug(addr string, rep *reporter) {
 	mux := http.NewServeMux()
+	// The blank net/http/pprof import registers its handlers on the
+	// default mux.
+	mux.Handle("/debug/pprof/", http.DefaultServeMux)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.WriteProm(w)
+		_ = rep.reg.WriteProm(w)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		_ = tr.WriteChrome(w)
+		_ = rep.tr.WriteChrome(w)
 	})
 	mux.HandleFunc("/report", func(w http.ResponseWriter, _ *http.Request) {
-		reportSource.mu.Lock()
-		fn := reportSource.fn
-		reportSource.mu.Unlock()
-		if fn == nil {
-			http.Error(w, "report not ready", http.StatusServiceUnavailable)
-			return
-		}
 		w.Header().Set("Content-Type", "application/json")
-		_ = fn().WriteJSON(w)
+		_ = rep.snapshotReport().WriteJSON(w)
 	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	go func() {
 		if err := http.ListenAndServe(addr, mux); err != nil {
 			fmt.Fprintln(os.Stderr, "solve: debug server:", err)
@@ -755,52 +697,53 @@ func serveDebug(addr string, reg *obs.Registry, tr *obs.Tracer) {
 }
 
 // reporter emits the end-of-run cost table, metrics summary, quality
-// digest, and observability artifacts exactly once — all assembled
-// from ONE quality.RunReport, so the text output, -report-out file,
-// and /report endpoint always agree. run defers it, so error and
-// injection paths report the same way the happy path does.
+// digest, storage accounting, and artifacts — all assembled from ONE
+// quality.RunReport, so the text output, -report-out file, and /report
+// endpoint agree. run arms it first, so every exit reports alike.
 type reporter struct {
-	once            sync.Once
-	mu              sync.Mutex // guards runInfo and final
+	o     options
+	start time.Time
+	reg   *obs.Registry
+	tr    *obs.Tracer
+
+	mu      sync.Mutex // guards runInfo, qa and final (/report reads them mid-run)
+	runInfo quality.RunInfo
+	qa      *quality.Auditor
+	final   *quality.RunReport
+
+	// Set by run as it builds them; nil when it exits before.
 	mgr             *core.Manager
-	mdl             *cluster.Model
-	scheme          core.Scheme
-	raw             float64
-	striped         bool
-	recSec          func(fti.Info) float64
-	measuredRestart float64
-	wiring          obsWiring
-	qa              *quality.Auditor
-	start           time.Time
-	runInfo         quality.RunInfo
-	final           *quality.RunReport
+	prices          *prices
+	storage         *storageChain
+	measuredRestart float64 // 0 = not measured
 }
 
-// update mutates the run-description fields under the reporter's lock
-// (the /report handler reads them concurrently with the solve).
-func (r *reporter) update(fn func(*quality.RunInfo)) {
+// locked runs fn under the reporter's lock.
+func (r *reporter) locked(fn func()) {
 	r.mu.Lock()
-	fn(&r.runInfo)
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	fn()
+}
+
+// finish records the solver's result.
+func (r *reporter) finish(iterations int, converged bool, residual float64) {
+	r.locked(func() {
+		r.runInfo.Iterations, r.runInfo.Converged, r.runInfo.FinalResidual = iterations, converged, residual
+	})
 }
 
 // buildReport assembles the versioned run report from the current
 // state: run info, cost lines, quality sections, metrics snapshot.
 func (r *reporter) buildReport(cost []quality.CostLine) *quality.RunReport {
-	r.mu.Lock()
-	ri := r.runInfo
-	r.mu.Unlock()
+	var ri quality.RunInfo
+	var qa *quality.Auditor
+	r.locked(func() { ri, qa = r.runInfo, r.qa })
 	if ri.Exit == "" {
 		ri.Exit = "ok"
 	}
-	if ri.WallSeconds == 0 && !r.start.IsZero() {
-		ri.WallSeconds = time.Since(r.start).Seconds()
-	}
-	rep := &quality.RunReport{Run: ri, Cost: cost, GeneratedAtUnix: time.Now().Unix()}
-	r.qa.Fill(rep)
-	if r.wiring.reg != nil {
-		rep.Metrics = r.wiring.reg.Snapshot()
-	}
+	ri.WallSeconds = time.Since(r.start).Seconds()
+	rep := &quality.RunReport{Run: ri, Cost: cost, Metrics: r.reg.Snapshot(), GeneratedAtUnix: time.Now().Unix()}
+	qa.Fill(rep)
 	return rep
 }
 
@@ -809,9 +752,8 @@ func (r *reporter) buildReport(cost []quality.CostLine) *quality.RunReport {
 // those need the Manager's committed Info, which cannot be probed
 // concurrently with the solver thread.
 func (r *reporter) snapshotReport() *quality.RunReport {
-	r.mu.Lock()
-	final := r.final
-	r.mu.Unlock()
+	var final *quality.RunReport
+	r.locked(func() { final = r.final })
 	if final != nil {
 		return final
 	}
@@ -825,19 +767,25 @@ func (r *reporter) snapshotReport() *quality.RunReport {
 }
 
 func (r *reporter) emit() {
-	r.once.Do(func() {
+	var cost []quality.CostLine
+	if r.mgr != nil {
 		// Drain any in-flight async save first so LastInfo and the
 		// registry describe the run's final state (no-op when sync).
 		info, _ := r.mgr.WaitCheckpoint()
-		cost := printCostBreakdown(r.mdl, r.scheme, info, r.raw, r.striped, r.recSec, r.measuredRestart)
-		rep := r.buildReport(cost)
-		r.mu.Lock()
-		r.final = rep
-		r.mu.Unlock()
-		r.printMetricsSummary(rep.Metrics)
-		r.printQualitySummary(rep)
-		r.writeArtifacts(rep)
-	})
+		cost = r.prices.costTable(info, r.measuredRestart)
+	}
+	rep := r.buildReport(cost)
+	r.locked(func() { r.final = rep })
+	r.printMetricsSummary(rep.Metrics)
+	r.printQualitySummary(rep)
+	r.writeArtifacts(rep)
+	if r.storage != nil {
+		r.storage.printStats()
+	}
+	if r.mgr != nil && r.mgr.DegradedSaves() > 0 {
+		fmt.Printf("degraded saves: %d checkpoint(s) failed and were skipped (last: %v)\n",
+			r.mgr.DegradedSaves(), r.mgr.LastSaveError())
+	}
 }
 
 // printQualitySummary digests the quality sections of the report:
@@ -886,9 +834,6 @@ func (r *reporter) printQualitySummary(rep *quality.RunReport) {
 // histogram aggregates from the report's snapshot — a digest of what
 // -metrics-out (or /metrics) exposes in full.
 func (r *reporter) printMetricsSummary(snap obs.Snapshot) {
-	if r.wiring.reg == nil {
-		return
-	}
 	printed := false
 	for i := range snap.Metrics {
 		md := &snap.Metrics[i]
@@ -932,13 +877,10 @@ func (r *reporter) writeArtifacts(rep *quality.RunReport) {
 		}
 		fmt.Printf("%s written to %s\n", what, path)
 	}
-	if r.wiring.reg != nil {
-		write(r.wiring.metricsOut, "metrics snapshot", r.wiring.reg.WriteJSON)
-	}
-	if r.wiring.tr != nil {
-		write(r.wiring.traceOut, "chrome trace", r.wiring.tr.WriteChrome)
-	}
-	write(r.wiring.reportOut, "run report", rep.WriteJSON)
+	// Asking for either artifact armed the registry and tracer.
+	write(r.o.metricsOut, "metrics snapshot", r.reg.WriteJSON)
+	write(r.o.traceOut, "chrome trace", r.tr.WriteChrome)
+	write(r.o.reportOut, "run report", rep.WriteJSON)
 }
 
 // injectedFailure records one injected event and the tier chain that
@@ -949,35 +891,15 @@ type injectedFailure struct {
 	rep   *core.RecoveryReport
 }
 
-// planArmsStorage reports whether any scheduled event carries a
-// storage fault kind — those need the injector interposed in the
-// storage stack before the Manager is built.
-func planArmsStorage(plan *failure.Plan) bool {
-	if plan == nil {
-		return false
-	}
-	for _, ev := range plan.Events() {
-		for _, k := range ev.Kinds {
-			switch k {
-			case failure.StorageWriteFault, failure.StorageReadFault, failure.SlowIO, failure.Crash:
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // runInjected drives the REAL solve (wall clock, no simulator) under a
-// seeded deterministic fault plan, recovering every failure through
-// the tier chain, and prints the per-failure tier table. storage is
-// the BASE store (beneath the injector and retry layers): corruption
-// writes bypass the fault gate, and the post-crash fsck sweeps the
-// debris where the crash left it.
-func runInjected(a *sparse.CSR, s solver.Checkpointable, mgr *core.Manager, guard *abft.Guard,
-	co *abft.ChecksumOperator, plan *failure.Plan, storage fti.Storage, injector *failure.StorageInjector,
-	mdl *cluster.Model, recSec func(fti.Info) float64, tit float64, ckptEvery, maxIter int, tr *obs.Tracer, repr *reporter) error {
+// seeded deterministic fault plan, checkpointing every ckptEvery
+// iterations and recovering every failure through the tier chain, and
+// prints the per-failure tier table. Corruptions and the post-crash
+// fsck act on the chain's base store.
+func runInjected(o options, ckptEvery int, s solver.Checkpointable, x0 []float64, mgr *core.Manager, guard *abft.Guard,
+	co *abft.ChecksumOperator, plan *failure.Plan, st *storageChain, p *prices, repr *reporter) error {
 	fmt.Printf("injection plan: %d events, checkpoint every %d iterations\n", len(plan.Events()), ckptEvery)
-	x0 := make([]float64, a.Rows)
+	tr, injector := repr.tr, st.injector
 	var failures []injectedFailure
 	// Coalesce the iteration stretches between lifecycle events into
 	// compute spans, so the trace shows the async pipeline's
@@ -1016,11 +938,11 @@ func runInjected(a *sparse.CSR, s solver.Checkpointable, mgr *core.Manager, guar
 			case failure.CorruptABFT:
 				guard.CorruptRetained()
 			case failure.CorruptShard:
-				if _, err := failure.CorruptLatestShard(storage, plan.Rand()); err != nil {
+				if _, err := failure.CorruptLatestShard(st.base, plan.Rand()); err != nil {
 					return fmt.Errorf("inject shard corruption at %d: %w", it, err)
 				}
 			case failure.CorruptManifest:
-				if _, err := failure.CorruptLatestManifest(storage); err != nil {
+				if _, err := failure.CorruptLatestManifest(st.base); err != nil {
 					return fmt.Errorf("inject manifest corruption at %d: %w", it, err)
 				}
 			case failure.StorageWriteFault:
@@ -1059,7 +981,7 @@ func runInjected(a *sparse.CSR, s solver.Checkpointable, mgr *core.Manager, guar
 					return fmt.Errorf("inject crash at %d: the store never saw a write", it)
 				}
 				injector.Revive()
-				frep, err := fti.Fsck(storage)
+				frep, err := fti.Fsck(st.base)
 				if err != nil {
 					return fmt.Errorf("fsck after crash at %d: %w", it, err)
 				}
@@ -1081,29 +1003,24 @@ func runInjected(a *sparse.CSR, s solver.Checkpointable, mgr *core.Manager, guar
 		failures = append(failures, injectedFailure{iter: it, kinds: kinds, rep: rep})
 		return nil
 	}
-	res, err := solver.RunToConvergence(s, solver.Options{MaxIter: maxIter}, cb)
+	res, err := solver.RunToConvergence(s, solver.Options{MaxIter: o.maxIter}, cb)
 	markCompute()
 	if err != nil {
 		return err
 	}
-	repr.update(func(ri *quality.RunInfo) {
-		ri.Iterations = res.Iterations
-		ri.Converged = res.Converged
-		ri.FinalResidual = res.FinalResidual
-	})
+	repr.finish(res.Iterations, res.Converged, res.FinalResidual)
 	fmt.Printf("converged=%v iterations=%d residual=%.3e failures=%d\n",
 		res.Converged, res.Iterations, res.FinalResidual, len(failures))
 	if co != nil {
 		fmt.Printf("checksum operator: %d applications, %d mismatches\n", co.Applications(), co.Mismatches())
 	}
-	st := guard.Stats()
+	gs := guard.Stats()
 	fmt.Printf("abft guard: observes=%d reconstructions=%d rejected=%d local-iterations=%d\n",
-		st.Observes, st.Reconstructions, st.Rejected, st.LocalIterations)
+		gs.Observes, gs.Reconstructions, gs.Rejected, gs.LocalIterations)
 	if len(failures) == 0 {
 		return nil
 	}
 	fmt.Printf("per-failure recovery tiers (modeled costs at 2048 ranks):\n")
-	raw := float64(a.Rows) * 8
 	for _, f := range failures {
 		names := make([]string, len(f.kinds))
 		for i, k := range f.kinds {
@@ -1118,11 +1035,10 @@ func runInjected(a *sparse.CSR, s solver.Checkpointable, mgr *core.Manager, guar
 			var cost string
 			switch att.Tier {
 			case core.TierABFT:
-				cost = fmt.Sprintf("%d local its, modeled %.3gs, 0 B read",
-					att.Iterations, mdl.ABFTRecoverySeconds(raw/2048, att.Iterations, tit))
+				cost = fmt.Sprintf("%d local its, modeled %.3gs, 0 B read", att.Iterations, p.abft(att))
 			case core.TierCheckpoint, core.TierPreviousCheckpoint:
 				cost = fmt.Sprintf("seq %d, %d B read, modeled %.3gs",
-					att.Seq, att.ReadBytes, recSec(mgr.LastInfo()))
+					att.Seq, att.ReadBytes, p.restart(mgr.LastInfo()))
 			default:
 				cost = "free (all progress lost)"
 			}
@@ -1131,81 +1047,4 @@ func runInjected(a *sparse.CSR, s solver.Checkpointable, mgr *core.Manager, guar
 		}
 	}
 	return nil
-}
-
-// printCostBreakdown renders the per-phase checkpoint/restart cost
-// table: the cluster model's 2,048-rank prediction next to what the
-// in-process run actually measured (fti.Info stage timings and the
-// measured restart). The two columns are different machines by design
-// — the point is seeing each phase's model beside a real measurement
-// of the same code path. The same rows come back as structured cost
-// lines for the run report (NaN "not measured" sentinels become 0,
-// which omitempty drops — NaN is not valid JSON).
-func printCostBreakdown(mdl *cluster.Model, scheme core.Scheme, info fti.Info, raw float64,
-	striped bool, recSec func(fti.Info) float64, measuredRestart float64) []quality.CostLine {
-	if info.Bytes == 0 {
-		return nil // no checkpoint was ever committed; nothing to break down
-	}
-	sch := cluster.Uncompressed
-	switch scheme {
-	case core.Lossless:
-		sch = cluster.LosslessCompressed
-	case core.Lossy:
-		sch = cluster.LossyCompressed
-	}
-	modCapture := mdl.CaptureSeconds(2048, raw)
-	// The stage helpers share the fused cost model's terms, so the
-	// per-phase rows always sum to the ckptSec the run was priced with:
-	// the codec-aware encode rate is pinned to the scheme-level
-	// calibration for the schemes' default codecs (sz, gzip) and falls
-	// back to it for codecs without a CodecRates entry.
-	modEncode := mdl.CodecCompressSeconds(2048, raw, info.EncoderName, sch)
-	modWrite := mdl.WriteStageSeconds(2048, float64(info.Bytes), max(info.Shards, 1), striped)
-	ms := func(s float64) string {
-		if math.IsNaN(s) {
-			return "      -"
-		}
-		return fmt.Sprintf("%10.4g", 1e3*s)
-	}
-	measCapture := math.NaN()
-	if info.CaptureSeconds > 0 {
-		measCapture = info.CaptureSeconds
-	}
-	fmt.Printf("per-checkpoint phase costs — modeled at 2048 ranks vs measured in-process (ms):\n")
-	fmt.Printf("  %-8s %12s %12s\n", "phase", "modeled", "measured")
-	fmt.Printf("  %-8s %12s %12s   (in-process sync capture happens inside the save)\n", "capture", ms(modCapture), ms(measCapture))
-	fmt.Printf("  %-8s %12s %12s\n", "encode", ms(modEncode), ms(info.EncodeSeconds))
-	if sch != cluster.Uncompressed && info.EncodeSeconds > 0 {
-		// Measured per-codec encode throughput beside the model's
-		// per-core rate: the in-process figure is this machine's cores,
-		// the modeled one is one Bebop core.
-		measMBs := raw / info.EncodeSeconds / 1e6
-		modMBs := raw / mdl.CodecCompressSeconds(1, raw, info.EncoderName, sch) / 1e6
-		fmt.Printf("  %-8s %12.4g %12.4g   (encode MB/s, codec %s; modeled is per Bebop core)\n",
-			"enc-MB/s", modMBs, measMBs, info.EncoderName)
-	}
-	fmt.Printf("  %-8s %12s %12s\n", "write", ms(modWrite), ms(info.WriteSeconds))
-	fmt.Printf("  %-8s %12s %12s   (measured only on failure runs)\n", "restart", ms(recSec(info)), ms(measuredRestart))
-	fin := func(s float64) float64 {
-		if math.IsNaN(s) {
-			return 0
-		}
-		return s
-	}
-	return []quality.CostLine{
-		{Phase: "capture", ModeledSeconds: modCapture, MeasuredSeconds: fin(measCapture)},
-		{Phase: "encode", ModeledSeconds: modEncode, MeasuredSeconds: info.EncodeSeconds},
-		{Phase: "write", ModeledSeconds: modWrite, MeasuredSeconds: info.WriteSeconds},
-		{Phase: "restart", ModeledSeconds: recSec(info), MeasuredSeconds: fin(measuredRestart)},
-	}
-}
-
-// vecNorm is the Euclidean norm of the right-hand side — the ‖b‖ the
-// stability verdict normalizes residuals against.
-func vecNorm(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }

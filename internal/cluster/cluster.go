@@ -21,6 +21,8 @@ package cluster
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // Model captures the platform's timing parameters. All bandwidths are
@@ -141,24 +143,14 @@ func Bebop() *Model {
 	}
 }
 
-// Scheme tags which compression stage applies to a transfer.
-type Scheme int
-
-// Checkpoint data flavors.
-const (
-	Uncompressed Scheme = iota
-	LosslessCompressed
-	LossyCompressed
-)
-
 // compressSeconds is the scheme-dependent compression cost of one
 // checkpoint, shared by the collective and sharded write models so a
 // calibration change cannot skew their comparison.
-func (m *Model) compressSeconds(procs int, rawBytes float64, scheme Scheme) float64 {
+func (m *Model) compressSeconds(procs int, rawBytes float64, scheme core.Scheme) float64 {
 	switch scheme {
-	case LossyCompressed:
+	case core.Lossy:
 		return rawBytes / (m.CompressPerCore * float64(procs))
-	case LosslessCompressed:
+	case core.Lossless:
 		return rawBytes / (m.LosslessPerCore * float64(procs))
 	}
 	return 0
@@ -168,7 +160,7 @@ func (m *Model) compressSeconds(procs int, rawBytes float64, scheme Scheme) floa
 // compressSeconds exported for per-phase cost breakdowns (cmd/solve's
 // modeled-vs-measured table), so a calibration change cannot diverge
 // from the fused CheckpointSeconds/ShardedCheckpointSeconds totals.
-func (m *Model) CompressStageSeconds(procs int, rawBytes float64, scheme Scheme) float64 {
+func (m *Model) CompressStageSeconds(procs int, rawBytes float64, scheme core.Scheme) float64 {
 	if procs <= 0 {
 		panic(fmt.Sprintf("cluster: procs must be positive, got %d", procs))
 	}
@@ -195,11 +187,11 @@ func (m *Model) codecRate(name string) (CodecRate, bool) {
 // codec without a CodecRates entry (or a Model without the map) falls
 // back to the scheme-level rate, so the fused checkpoint costs and the
 // per-phase breakdown cannot diverge for unknown codecs.
-func (m *Model) CodecCompressSeconds(procs int, rawBytes float64, name string, scheme Scheme) float64 {
+func (m *Model) CodecCompressSeconds(procs int, rawBytes float64, name string, scheme core.Scheme) float64 {
 	if procs <= 0 {
 		panic(fmt.Sprintf("cluster: procs must be positive, got %d", procs))
 	}
-	if scheme == Uncompressed {
+	if scheme == core.Traditional {
 		return 0
 	}
 	if r, ok := m.codecRate(name); ok && r.CompressPerCore > 0 {
@@ -210,11 +202,11 @@ func (m *Model) CodecCompressSeconds(procs int, rawBytes float64, name string, s
 
 // CodecDecompressSeconds mirrors CodecCompressSeconds for the restore
 // path's decompression stage.
-func (m *Model) CodecDecompressSeconds(procs int, rawBytes float64, name string, scheme Scheme) float64 {
+func (m *Model) CodecDecompressSeconds(procs int, rawBytes float64, name string, scheme core.Scheme) float64 {
 	if procs <= 0 {
 		panic(fmt.Sprintf("cluster: procs must be positive, got %d", procs))
 	}
-	if scheme == Uncompressed {
+	if scheme == core.Traditional {
 		return 0
 	}
 	if r, ok := m.codecRate(name); ok && r.DecompressPerCore > 0 {
@@ -248,7 +240,7 @@ func (m *Model) WriteStageSeconds(procs int, encodedBytes float64, shards int, s
 // CheckpointSeconds returns the wall time of one checkpoint: optional
 // compression of rawBytes across procs cores, then writing
 // encodedBytes through the shared PFS.
-func (m *Model) CheckpointSeconds(procs int, encodedBytes, rawBytes float64, scheme Scheme) float64 {
+func (m *Model) CheckpointSeconds(procs int, encodedBytes, rawBytes float64, scheme core.Scheme) float64 {
 	if procs <= 0 {
 		panic(fmt.Sprintf("cluster: procs must be positive, got %d", procs))
 	}
@@ -289,7 +281,7 @@ func (m *Model) StripedWriteBandwidth(shards int) float64 {
 // manifest. With shards = 1 and the Bebop striping parameters this is
 // the single-stripe serial write; at shards ≥ Stripes it recovers the
 // aggregate-bandwidth cost of the collective write the paper measures.
-func (m *Model) ShardedCheckpointSeconds(procs int, encodedBytes, rawBytes float64, scheme Scheme, shards int) float64 {
+func (m *Model) ShardedCheckpointSeconds(procs int, encodedBytes, rawBytes float64, scheme core.Scheme, shards int) float64 {
 	if procs <= 0 {
 		panic(fmt.Sprintf("cluster: procs must be positive, got %d", procs))
 	}
@@ -362,11 +354,11 @@ func (m *Model) CaptureSeconds(procs int, rawBytes float64) float64 {
 // decompressSeconds is the scheme-dependent decompression cost of one
 // recovery, shared by the serial and streaming restore models so a
 // calibration change cannot skew their comparison.
-func (m *Model) decompressSeconds(procs int, rawBytes float64, scheme Scheme) float64 {
+func (m *Model) decompressSeconds(procs int, rawBytes float64, scheme core.Scheme) float64 {
 	switch scheme {
-	case LossyCompressed:
+	case core.Lossy:
 		return rawBytes / (m.DecompressPerCore * float64(procs))
-	case LosslessCompressed:
+	case core.Lossless:
 		return rawBytes / (m.LosslessPerCore * float64(procs))
 	}
 	return 0
@@ -378,7 +370,7 @@ func (m *Model) decompressSeconds(procs int, rawBytes float64, scheme Scheme) fl
 // then the full decompression — of a monolithic checkpoint (which, as
 // one file striped across the OSTs, already streams at the aggregate
 // PFS bandwidth).
-func (m *Model) RecoverySeconds(procs int, encodedBytes, rawBytes float64, scheme Scheme) float64 {
+func (m *Model) RecoverySeconds(procs int, encodedBytes, rawBytes float64, scheme core.Scheme) float64 {
 	if procs <= 0 {
 		panic(fmt.Sprintf("cluster: procs must be positive, got %d", procs))
 	}
@@ -427,7 +419,7 @@ func (m *Model) StripedReadBandwidth(shards int) float64 {
 // trips and overlap the transfer, so no per-shard metadata term
 // applies; the cost is therefore monotonically non-increasing in the
 // shard count up to the stripe saturation point.
-func (m *Model) ShardedRecoverySeconds(procs int, encodedBytes, rawBytes float64, scheme Scheme, shards int) float64 {
+func (m *Model) ShardedRecoverySeconds(procs int, encodedBytes, rawBytes float64, scheme core.Scheme, shards int) float64 {
 	if procs <= 0 {
 		panic(fmt.Sprintf("cluster: procs must be positive, got %d", procs))
 	}

@@ -3,13 +3,15 @@ package cluster
 import (
 	"math"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestBebopCheckpointAnchor(t *testing.T) {
 	// §3: checkpointing one 78.8 GB vector from 2,048 processes takes
 	// about 120 seconds.
 	m := Bebop()
-	got := m.CheckpointSeconds(2048, 78.8e9, 78.8e9, Uncompressed)
+	got := m.CheckpointSeconds(2048, 78.8e9, 78.8e9, core.Traditional)
 	if got < 100 || got > 140 {
 		t.Fatalf("traditional 78.8 GB @2048 = %.1f s, paper says ≈120", got)
 	}
@@ -19,7 +21,7 @@ func TestBebopLossyCheckpointAnchor(t *testing.T) {
 	// §4.3: lossy compression reduces GMRES checkpoint time from
 	// ≈120 s to ≈25 s (≈80 GB at ratio ≈34, Table 3).
 	m := Bebop()
-	got := m.CheckpointSeconds(2048, 78.8e9/34, 78.8e9, LossyCompressed)
+	got := m.CheckpointSeconds(2048, 78.8e9/34, 78.8e9, core.Lossy)
 	if got < 18 || got > 32 {
 		t.Fatalf("lossy 78.8 GB @2048 = %.1f s, paper says ≈25", got)
 	}
@@ -46,7 +48,7 @@ func TestCheckpointTimeGrowsWithScale(t *testing.T) {
 	perProc := 39.4e6
 	prev := 0.0
 	for _, p := range []int{256, 512, 1024, 2048} {
-		got := m.CheckpointSeconds(p, float64(p)*perProc, float64(p)*perProc, Uncompressed)
+		got := m.CheckpointSeconds(p, float64(p)*perProc, float64(p)*perProc, core.Traditional)
 		if got <= prev {
 			t.Fatalf("checkpoint time must grow with scale: %v after %v", got, prev)
 		}
@@ -58,7 +60,7 @@ func TestRecoveryExceedsCheckpoint(t *testing.T) {
 	// §5.4: recovery time exceeds checkpoint time because static
 	// variables are reconstructed.
 	m := Bebop()
-	for _, scheme := range []Scheme{Uncompressed, LosslessCompressed, LossyCompressed} {
+	for _, scheme := range []core.Scheme{core.Traditional, core.Lossless, core.Lossy} {
 		ck := m.CheckpointSeconds(1024, 40e9, 40e9, scheme)
 		rc := m.RecoverySeconds(1024, 40e9, 40e9, scheme)
 		if rc <= ck {
@@ -70,9 +72,9 @@ func TestRecoveryExceedsCheckpoint(t *testing.T) {
 func TestLossySchemeFasterThanTraditional(t *testing.T) {
 	m := Bebop()
 	raw := 2048 * 39.4e6
-	trad := m.CheckpointSeconds(2048, raw, raw, Uncompressed)
-	lossless := m.CheckpointSeconds(2048, raw/5, raw, LosslessCompressed)
-	lossy := m.CheckpointSeconds(2048, raw/34, raw, LossyCompressed)
+	trad := m.CheckpointSeconds(2048, raw, raw, core.Traditional)
+	lossless := m.CheckpointSeconds(2048, raw/5, raw, core.Lossless)
+	lossy := m.CheckpointSeconds(2048, raw/34, raw, core.Lossy)
 	if !(lossy < lossless && lossless < trad) {
 		t.Fatalf("ordering violated: lossy %.1f, lossless %.1f, trad %.1f", lossy, lossless, trad)
 	}
@@ -151,22 +153,22 @@ func TestShardedCheckpointSeconds(t *testing.T) {
 	m := Bebop()
 	const procs = 2048
 	enc, raw := 1.0e9, 8.0e9
-	mono := m.ShardedCheckpointSeconds(procs, enc, raw, LossyCompressed, 1)
-	s8 := m.ShardedCheckpointSeconds(procs, enc, raw, LossyCompressed, 8)
-	full := m.ShardedCheckpointSeconds(procs, enc, raw, LossyCompressed, m.Stripes)
+	mono := m.ShardedCheckpointSeconds(procs, enc, raw, core.Lossy, 1)
+	s8 := m.ShardedCheckpointSeconds(procs, enc, raw, core.Lossy, 8)
+	full := m.ShardedCheckpointSeconds(procs, enc, raw, core.Lossy, m.Stripes)
 	if !(s8 < mono) || !(full < s8) {
 		t.Fatalf("sharding must speed up the write: mono=%.2f s8=%.2f full=%.2f", mono, s8, full)
 	}
 	// At full striping the transfer term matches the collective model;
 	// only the per-shard metadata differs.
-	collective := m.CheckpointSeconds(procs, enc, raw, LossyCompressed)
+	collective := m.CheckpointSeconds(procs, enc, raw, core.Lossy)
 	extra := full - collective
 	want := m.PerShardSeconds * float64(m.Stripes+1)
 	if diff := extra - want; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("full-stripe sharded cost differs from collective by %.6f, want metadata %.6f", extra, want)
 	}
 	// Over-sharding: bandwidth saturated, metadata keeps growing.
-	over := m.ShardedCheckpointSeconds(procs, enc, raw, LossyCompressed, 4*m.Stripes)
+	over := m.ShardedCheckpointSeconds(procs, enc, raw, core.Lossy, 4*m.Stripes)
 	if !(over > full) {
 		t.Fatal("over-sharding must cost more than full striping")
 	}
@@ -211,7 +213,7 @@ func TestShardedRecoverySeconds(t *testing.T) {
 	m := Bebop()
 	const procs = 2048
 	enc, raw := 2.0e9, 8.0e9
-	schemes := []Scheme{Uncompressed, LosslessCompressed, LossyCompressed}
+	schemes := []core.Scheme{core.Traditional, core.Lossless, core.Lossy}
 	// shards ≤ 1 prices exactly like the serial monolithic restore.
 	for _, sch := range schemes {
 		want := m.RecoverySeconds(procs, enc, raw, sch)
@@ -235,15 +237,15 @@ func TestShardedRecoverySeconds(t *testing.T) {
 	}
 	// The streaming pipeline overlaps read with decompression, so a
 	// sharded lossy restore strictly beats the serial one...
-	mono := m.ShardedRecoverySeconds(procs, enc, raw, LossyCompressed, 1)
-	s8 := m.ShardedRecoverySeconds(procs, enc, raw, LossyCompressed, 8)
-	full := m.ShardedRecoverySeconds(procs, enc, raw, LossyCompressed, m.Stripes)
+	mono := m.ShardedRecoverySeconds(procs, enc, raw, core.Lossy, 1)
+	s8 := m.ShardedRecoverySeconds(procs, enc, raw, core.Lossy, 8)
+	full := m.ShardedRecoverySeconds(procs, enc, raw, core.Lossy, m.Stripes)
 	if !(s8 < mono) {
 		t.Fatalf("sharding must speed up recovery: mono=%.2f s8=%.2f", mono, s8)
 	}
 	// ...and past saturation nothing changes (no per-object penalty on
 	// the read side).
-	if over := m.ShardedRecoverySeconds(procs, enc, raw, LossyCompressed, 4*m.Stripes); over != full {
+	if over := m.ShardedRecoverySeconds(procs, enc, raw, core.Lossy, 4*m.Stripes); over != full {
 		t.Fatalf("over-sharded recovery %.4f != saturated %.4f", over, full)
 	}
 	// The transfer term is max(read, decompress) + fixed per-rank
@@ -263,7 +265,7 @@ func TestShardedRecoverySeconds(t *testing.T) {
 func TestStageHelpersSumToFusedCosts(t *testing.T) {
 	m := Bebop()
 	const procs, encoded, raw = 2048, 3.2e9, 78.8e9
-	for _, sch := range []Scheme{Uncompressed, LosslessCompressed, LossyCompressed} {
+	for _, sch := range []core.Scheme{core.Traditional, core.Lossless, core.Lossy} {
 		sum := m.CompressStageSeconds(procs, raw, sch) + m.WriteStageSeconds(procs, encoded, 1, false)
 		if got := m.CheckpointSeconds(procs, encoded, raw, sch); !approxEq(sum, got) {
 			t.Errorf("scheme %v: stages sum to %g, CheckpointSeconds %g", sch, sum, got)
@@ -297,7 +299,7 @@ func TestABFTRecoverySeconds(t *testing.T) {
 	}
 	// The tier's raison d'être: no PFS term — it must be far below even
 	// the cheapest modeled restart of the same state.
-	restart := m.RecoverySeconds(2048, 78.8e9, 78.8e9, Uncompressed)
+	restart := m.RecoverySeconds(2048, 78.8e9, 78.8e9, core.Traditional)
 	if got >= restart {
 		t.Fatalf("ABFT recovery %g s not below the PFS restart %g s", got, restart)
 	}
@@ -319,36 +321,36 @@ func TestCodecRates(t *testing.T) {
 	// The schemes' default codecs are pinned to the scheme-level
 	// calibration, so codec-aware and scheme-level pricing agree for
 	// the paper's configurations.
-	if got, want := m.CodecCompressSeconds(2048, raw, "sz", LossyCompressed), m.CompressStageSeconds(2048, raw, LossyCompressed); !approxEq(got, want) {
+	if got, want := m.CodecCompressSeconds(2048, raw, "sz", core.Lossy), m.CompressStageSeconds(2048, raw, core.Lossy); !approxEq(got, want) {
 		t.Fatalf("sz codec pricing %g != scheme pricing %g", got, want)
 	}
-	if got, want := m.CodecCompressSeconds(2048, raw, "gzip(deflate)", LosslessCompressed), m.CompressStageSeconds(2048, raw, LosslessCompressed); !approxEq(got, want) {
+	if got, want := m.CodecCompressSeconds(2048, raw, "gzip(deflate)", core.Lossless), m.CompressStageSeconds(2048, raw, core.Lossless); !approxEq(got, want) {
 		t.Fatalf("gzip codec pricing %g != scheme pricing %g", got, want)
 	}
 	// The fti Lossless encoder's composite name resolves to the codec.
-	if got, want := m.CodecCompressSeconds(2048, raw, "lossless/fpc", LosslessCompressed), raw/(m.CodecRates["fpc"].CompressPerCore*2048); !approxEq(got, want) {
+	if got, want := m.CodecCompressSeconds(2048, raw, "lossless/fpc", core.Lossless), raw/(m.CodecRates["fpc"].CompressPerCore*2048); !approxEq(got, want) {
 		t.Fatalf("lossless/fpc priced %g, want fpc rate %g", got, want)
 	}
 	// zfp's dedicated rate outruns the sz calibration on both sides.
-	if c, s := m.CodecCompressSeconds(2048, raw, "zfp", LossyCompressed), m.CompressStageSeconds(2048, raw, LossyCompressed); c >= s {
+	if c, s := m.CodecCompressSeconds(2048, raw, "zfp", core.Lossy), m.CompressStageSeconds(2048, raw, core.Lossy); c >= s {
 		t.Fatalf("zfp compress %g not below sz-calibrated %g", c, s)
 	}
-	if d, s := m.CodecDecompressSeconds(2048, raw, "zfp", LossyCompressed), raw/(m.DecompressPerCore*2048); d >= s {
+	if d, s := m.CodecDecompressSeconds(2048, raw, "zfp", core.Lossy), raw/(m.DecompressPerCore*2048); d >= s {
 		t.Fatalf("zfp decompress %g not below sz-calibrated %g", d, s)
 	}
 	// Unknown codecs and legacy literals fall back to the scheme rate.
-	if got, want := m.CodecCompressSeconds(2048, raw, "mystery", LossyCompressed), m.CompressStageSeconds(2048, raw, LossyCompressed); !approxEq(got, want) {
+	if got, want := m.CodecCompressSeconds(2048, raw, "mystery", core.Lossy), m.CompressStageSeconds(2048, raw, core.Lossy); !approxEq(got, want) {
 		t.Fatalf("unknown codec priced %g, want scheme fallback %g", got, want)
 	}
 	legacy := &Model{CompressPerCore: 77e6, LosslessPerCore: 100e6, DecompressPerCore: 192e6}
-	if got, want := legacy.CodecCompressSeconds(2048, raw, "zfp", LossyCompressed), raw/(77e6*2048); !approxEq(got, want) {
+	if got, want := legacy.CodecCompressSeconds(2048, raw, "zfp", core.Lossy), raw/(77e6*2048); !approxEq(got, want) {
 		t.Fatalf("legacy literal priced %g, want %g", got, want)
 	}
-	// Uncompressed transfers cost nothing to encode regardless of name.
-	if got := m.CodecCompressSeconds(2048, raw, "sz", Uncompressed); got != 0 {
+	// Traditional (uncompressed) transfers cost nothing to encode regardless of name.
+	if got := m.CodecCompressSeconds(2048, raw, "sz", core.Traditional); got != 0 {
 		t.Fatalf("uncompressed encode cost %g, want 0", got)
 	}
-	if got := m.CodecDecompressSeconds(2048, raw, "raw", Uncompressed); got != 0 {
+	if got := m.CodecDecompressSeconds(2048, raw, "raw", core.Traditional); got != 0 {
 		t.Fatalf("uncompressed decode cost %g, want 0", got)
 	}
 }

@@ -74,18 +74,9 @@ func runFig10(cfg Config) (Result, error) {
 		tradRaw := oneVec * float64(base.CkptVectors)
 
 		for _, scheme := range schemeOrder {
-			var ckptSec, recSec float64
-			switch scheme {
-			case core.Traditional:
-				ckptSec = mdl.CheckpointSeconds(procs, tradRaw, tradRaw, cluster.Uncompressed)
-				recSec = mdl.RecoverySeconds(procs, tradRaw, tradRaw, cluster.Uncompressed)
-			case core.Lossless:
-				ckptSec = mdl.CheckpointSeconds(procs, tradRaw/ratio.Lossless, tradRaw, cluster.LosslessCompressed)
-				recSec = mdl.RecoverySeconds(procs, tradRaw/ratio.Lossless, tradRaw, cluster.LosslessCompressed)
-			case core.Lossy:
-				ckptSec = mdl.CheckpointSeconds(procs, oneVec/ratio.Lossy, oneVec, cluster.LossyCompressed)
-				recSec = mdl.RecoverySeconds(procs, oneVec/ratio.Lossy, oneVec, cluster.LossyCompressed)
-			}
+			enc, raw := schemeBytes(scheme, oneVec, tradRaw, ratio)
+			ckptSec := mdl.CheckpointSeconds(procs, enc, raw, scheme)
+			recSec := mdl.RecoverySeconds(procs, enc, raw, scheme)
 			interval := model.YoungInterval(3600, ckptSec)
 
 			var sumOverhead float64

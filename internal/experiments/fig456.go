@@ -51,20 +51,11 @@ func figCkptTimes(method, figure string) Runner {
 			elemsPerProc := float64(sc.N) * float64(sc.N) * float64(sc.N) / float64(sc.Procs)
 			oneVec := elemsPerProc * 8 * float64(sc.Procs) // bytes, one global vector
 			tradRaw := oneVec * float64(base.CkptVectors)
-			// Traditional and lossless move the full dynamic state;
-			// lossy moves only x.
-			out.Ckpt[core.Traditional] = append(out.Ckpt[core.Traditional],
-				mdl.CheckpointSeconds(sc.Procs, tradRaw, tradRaw, cluster.Uncompressed))
-			out.Rec[core.Traditional] = append(out.Rec[core.Traditional],
-				mdl.RecoverySeconds(sc.Procs, tradRaw, tradRaw, cluster.Uncompressed))
-			out.Ckpt[core.Lossless] = append(out.Ckpt[core.Lossless],
-				mdl.CheckpointSeconds(sc.Procs, tradRaw/r.Lossless, tradRaw, cluster.LosslessCompressed))
-			out.Rec[core.Lossless] = append(out.Rec[core.Lossless],
-				mdl.RecoverySeconds(sc.Procs, tradRaw/r.Lossless, tradRaw, cluster.LosslessCompressed))
-			out.Ckpt[core.Lossy] = append(out.Ckpt[core.Lossy],
-				mdl.CheckpointSeconds(sc.Procs, oneVec/r.Lossy, oneVec, cluster.LossyCompressed))
-			out.Rec[core.Lossy] = append(out.Rec[core.Lossy],
-				mdl.RecoverySeconds(sc.Procs, oneVec/r.Lossy, oneVec, cluster.LossyCompressed))
+			for _, s := range schemeOrder {
+				enc, raw := schemeBytes(s, oneVec, tradRaw, r)
+				out.Ckpt[s] = append(out.Ckpt[s], mdl.CheckpointSeconds(sc.Procs, enc, raw, s))
+				out.Rec[s] = append(out.Rec[s], mdl.RecoverySeconds(sc.Procs, enc, raw, s))
+			}
 		}
 		return out, nil
 	}

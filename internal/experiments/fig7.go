@@ -79,16 +79,10 @@ func runFig7(cfg Config) (Result, error) {
 					elemsPerProc := float64(sc.N) * float64(sc.N) * float64(sc.N) / float64(sc.Procs)
 					oneVec := elemsPerProc * 8 * float64(sc.Procs)
 					tradRaw := oneVec * float64(base.CkptVectors)
-					var tckp, overhead float64
-					switch scheme {
-					case core.Traditional:
-						tckp = mdl.CheckpointSeconds(sc.Procs, tradRaw, tradRaw, cluster.Uncompressed)
-						overhead = model.ExpectedOverheadRatio(lambda, tckp)
-					case core.Lossless:
-						tckp = mdl.CheckpointSeconds(sc.Procs, tradRaw/r.Lossless, tradRaw, cluster.LosslessCompressed)
-						overhead = model.ExpectedOverheadRatio(lambda, tckp)
-					case core.Lossy:
-						tckp = mdl.CheckpointSeconds(sc.Procs, oneVec/r.Lossy, oneVec, cluster.LossyCompressed)
+					enc, raw := schemeBytes(scheme, oneVec, tradRaw, r)
+					tckp := mdl.CheckpointSeconds(sc.Procs, enc, raw, scheme)
+					overhead := model.ExpectedOverheadRatio(lambda, tckp)
+					if scheme == core.Lossy {
 						overhead = model.LossyOverheadRatio(lambda, tckp, paperNPrime(method), tit)
 					}
 					curve.Overhead[mi] = append(curve.Overhead[mi], overhead)

@@ -36,24 +36,16 @@ type Fig8Result struct {
 	Cells []Fig8Cell
 }
 
-// simTimes builds the cluster-model checkpoint/recovery cost functions
+// simTimes builds the cluster-model lossy checkpoint/recovery cost functions
 // for a method at a paper scale, extrapolating measured ratios.
-func simTimes(method string, procs int, lossyScheme bool, r ratios) (func(fti.Info) float64, func(fti.Info) float64) {
+func simTimes(method string, procs int, r ratios) (func(fti.Info) float64, func(fti.Info) float64) {
 	mdl := cluster.Bebop()
 	base := cluster.PaperBaselines()[method]
 	oneVec := base.PerProcMB / float64(base.CkptVectors) * 1e6 * float64(procs)
-	tradRaw := oneVec * float64(base.CkptVectors)
-	if lossyScheme {
-		return func(fti.Info) float64 {
-				return mdl.CheckpointSeconds(procs, oneVec/r.Lossy, oneVec, cluster.LossyCompressed)
-			}, func(fti.Info) float64 {
-				return mdl.RecoverySeconds(procs, oneVec/r.Lossy, oneVec, cluster.LossyCompressed)
-			}
-	}
 	return func(fti.Info) float64 {
-			return mdl.CheckpointSeconds(procs, tradRaw, tradRaw, cluster.Uncompressed)
+			return mdl.CheckpointSeconds(procs, oneVec/r.Lossy, oneVec, core.Lossy)
 		}, func(fti.Info) float64 {
-			return mdl.RecoverySeconds(procs, tradRaw, tradRaw, cluster.Uncompressed)
+			return mdl.RecoverySeconds(procs, oneVec/r.Lossy, oneVec, core.Lossy)
 		}
 }
 
@@ -91,7 +83,7 @@ func runFig8(cfg Config) (Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			ckptSec, recSec := simTimes(method, procs, true, ratio)
+			ckptSec, recSec := simTimes(method, procs, ratio)
 			interval := model.YoungInterval(3600, ckptSec(fti.Info{}))
 			outSim, err := sim.Run(sim.Config{
 				Stepper:           s,

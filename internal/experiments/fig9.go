@@ -44,7 +44,7 @@ func runFig9(cfg Config) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ckptSec, recSec := simTimes("jacobi", 2048, true, ratio)
+	ckptSec, recSec := simTimes("jacobi", 2048, ratio)
 
 	// Failure-free baseline fixes the simulated wall clock.
 	sBase, err := buildSolver("jacobi", a, b, base.RTol)

@@ -190,17 +190,29 @@ type schemeTimes struct {
 func timesAtScale(mdl *cluster.Model, procs int, perProcMB float64, r ratios) schemeTimes {
 	raw := float64(procs) * perProcMB * 1e6
 	st := schemeTimes{Ckpt: map[core.Scheme]float64{}, Rec: map[core.Scheme]float64{}}
-	st.Ckpt[core.Traditional] = mdl.CheckpointSeconds(procs, raw, raw, cluster.Uncompressed)
-	st.Rec[core.Traditional] = mdl.RecoverySeconds(procs, raw, raw, cluster.Uncompressed)
-	st.Ckpt[core.Lossless] = mdl.CheckpointSeconds(procs, raw/r.Lossless, raw, cluster.LosslessCompressed)
-	st.Rec[core.Lossless] = mdl.RecoverySeconds(procs, raw/r.Lossless, raw, cluster.LosslessCompressed)
 	// The lossy scheme checkpoints only x (one vector), so for CG the
 	// raw volume halves before compression — handled by the caller via
 	// perProcMB when needed; here ratios already refer to the full
 	// dynamic state.
-	st.Ckpt[core.Lossy] = mdl.CheckpointSeconds(procs, raw/r.Lossy, raw, cluster.LossyCompressed)
-	st.Rec[core.Lossy] = mdl.RecoverySeconds(procs, raw/r.Lossy, raw, cluster.LossyCompressed)
+	for _, s := range schemeOrder {
+		enc, in := schemeBytes(s, raw, raw, r)
+		st.Ckpt[s] = mdl.CheckpointSeconds(procs, enc, in, s)
+		st.Rec[s] = mdl.RecoverySeconds(procs, enc, in, s)
+	}
 	return st
+}
+
+// schemeBytes returns one scheme's encoded and raw checkpoint volume:
+// traditional and lossless move the full dynamic state (tradRaw),
+// lossy moves only x (oneVec).
+func schemeBytes(s core.Scheme, oneVec, tradRaw float64, r ratios) (encoded, raw float64) {
+	switch s {
+	case core.Lossless:
+		return tradRaw / r.Lossless, tradRaw
+	case core.Lossy:
+		return oneVec / r.Lossy, oneVec
+	}
+	return tradRaw, tradRaw
 }
 
 // managedRun builds a solver plus manager pair for a sim run.

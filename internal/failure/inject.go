@@ -233,6 +233,24 @@ func (p *Plan) Events() []Injection { return p.events }
 // Empty reports whether no events remain.
 func (p *Plan) Empty() bool { return len(p.events) == 0 }
 
+// ArmsStorage reports whether any remaining event carries a storage
+// kind — those need a StorageInjector interposed in the storage stack
+// before the checkpoint layer is built. A nil plan arms nothing.
+func (p *Plan) ArmsStorage() bool {
+	if p == nil {
+		return false
+	}
+	for _, ev := range p.events {
+		for _, k := range ev.Kinds {
+			switch k {
+			case StorageWriteFault, StorageReadFault, SlowIO, Crash:
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Take consumes and returns the kinds scheduled at iterations ≤ iter
 // (normally exactly one event). Nil when nothing is due.
 func (p *Plan) Take(iter int) []Kind {

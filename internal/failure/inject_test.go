@@ -73,6 +73,26 @@ func TestPlanTakeConsumesInOrder(t *testing.T) {
 	}
 }
 
+func TestPlanArmsStorage(t *testing.T) {
+	if (*Plan)(nil).ArmsStorage() {
+		t.Fatal("nil plan arms storage")
+	}
+	for spec, want := range map[string]bool{
+		"proc@5,abft+proc@9,midckpt@12": false,
+		"proc@5,slowio@9":               true,
+		"crash@3":                       true,
+		"storageread+proc@7":            true,
+	} {
+		p, err := ParsePlan(spec, 1)
+		if err != nil {
+			t.Fatalf("ParsePlan(%q): %v", spec, err)
+		}
+		if got := p.ArmsStorage(); got != want {
+			t.Errorf("%q: ArmsStorage = %v, want %v", spec, got, want)
+		}
+	}
+}
+
 func TestKindRoundTrip(t *testing.T) {
 	for _, k := range []Kind{ProcLoss, CorruptABFT, CorruptShard, CorruptManifest, MidCheckpoint} {
 		got, err := ParseKind(k.String())

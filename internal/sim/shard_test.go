@@ -50,7 +50,7 @@ func shardedSimRun(t *testing.T, shards, workers int) *Outcome {
 		TitSeconds:      2,
 		IntervalSeconds: 25,
 		CheckpointSeconds: func(info fti.Info) float64 {
-			return mdl.ShardedCheckpointSeconds(ranks, float64(info.Bytes)*ranks, raw, cluster.LossyCompressed, info.Shards)
+			return mdl.ShardedCheckpointSeconds(ranks, float64(info.Bytes)*ranks, raw, core.Lossy, info.Shards)
 		},
 		RecoverySeconds: func(info fti.Info) float64 { return 3 },
 		FailureSchedule: []float64{120, 260},
@@ -85,7 +85,7 @@ func shardedRecoveryRun(t *testing.T, shards, workers int) *Outcome {
 		IntervalSeconds:   25,
 		CheckpointSeconds: func(info fti.Info) float64 { return 3 },
 		RecoverySeconds: func(info fti.Info) float64 {
-			return mdl.ShardedRecoverySeconds(ranks, float64(info.Bytes)*ranks, raw, cluster.LossyCompressed, info.Shards)
+			return mdl.ShardedRecoverySeconds(ranks, float64(info.Bytes)*ranks, raw, core.Lossy, info.Shards)
 		},
 		// One failure only, after the first committed checkpoint: the
 		// recovery duration then shifts the completion time but not
